@@ -1,102 +1,34 @@
 #include "experiments/datacenter.h"
 
-#include <cassert>
-#include <map>
-
-#include "net/network.h"
+#include "experiments/datacenter_setup.h"
 #include "sim/simulator.h"
 
 namespace fastcc::exp {
 
 DatacenterResult run_datacenter(const DatacenterConfig& config) {
-  assert(!config.components.empty() || !config.preset_flows.empty());
   sim::Simulator simulator;
-  net::Network network(simulator, config.seed);
-  topo::FatTree tree = build_fat_tree(network, config.topo);
+  DatacenterSetup setup(config, simulator);
 
-  if (variant_needs_red(config.variant)) {
-    network.set_red_all(red_params_for(config.variant));
-    // ECN-driven deployments rely on PFC for losslessness while the
-    // protocol converges (RDMA practice for DCQCN; harmless for DCTCP).
-    net::PfcParams pfc;
-    pfc.pause_bytes = 200'000;
-    pfc.resume_bytes = 100'000;
-    network.set_pfc_all(pfc);
-  }
-
-  CcFactory factory(network, config.variant, /*small_topology=*/false);
-
-  std::vector<net::FlowSpec> specs;
-  if (!config.preset_flows.empty()) {
-    specs = config.preset_flows;
-  } else {
-    workload::PoissonTrafficParams traffic;
-    traffic.components = config.components;
-    traffic.load = config.load;
-    traffic.host_bandwidth = config.topo.host_bandwidth;
-    traffic.host_count = static_cast<int>(tree.hosts.size());
-    traffic.duration = config.generate_duration;
-    sim::Rng traffic_rng = network.rng().fork();
-    specs = workload::generate_poisson_traffic(traffic, traffic_rng);
-  }
-
-  // Path lookups keyed by (src, dst); the fat-tree is symmetric so repeated
-  // pairs are common and BFS is worth caching.  Ordered map: deterministic
-  // by construction, and node-based storage keeps the PathInfo references
-  // handed out below stable across later insertions.
-  std::map<std::pair<net::NodeId, net::NodeId>, net::PathInfo> path_cache;
-  auto path_of = [&](net::NodeId src, net::NodeId dst) -> const net::PathInfo& {
-    auto key = std::make_pair(src, dst);
-    auto it = path_cache.find(key);
-    if (it == path_cache.end()) {
-      it = path_cache.emplace(key, network.path(src, dst)).first;
-    }
-    return it->second;
-  };
-
-  DatacenterResult result;
   stats::FctRecorder recorder;
   std::size_t completed = 0;
-  const std::size_t total = specs.size();
-
-  // Keyed lookups only (never iterated); ordered map for determinism by
-  // construction.
-  std::map<net::FlowId, const net::PathInfo*> flow_paths;
-
-  for (net::Host* h : tree.hosts) {
+  const std::size_t total = setup.flow_count();
+  for (net::Host* h : setup.tree().hosts) {
     h->set_completion_callback([&](const net::FlowTx& f) {
-      recorder.record(f, *flow_paths.at(f.spec.id));
+      recorder.record(f, setup.path_of_flow(f.spec.id));
       ++completed;
       if (completed == total) simulator.stop();
     });
   }
 
-  for (net::FlowSpec& spec : specs) {
-    // Remap generator host indices to topology node ids.
-    net::Host* src = tree.hosts[spec.src];
-    net::Host* dst = tree.hosts[spec.dst];
-    spec.src = src->id();
-    spec.dst = dst->id();
-    const net::PathInfo& path = path_of(spec.src, spec.dst);
-    flow_paths.emplace(spec.id, &path);
-    // The factory and cached path outlive the schedule: simulator.run()
-    // below drains every flow-start event before this scope exits.
-    // lint:allow(ref-capture-callback -- run() drains before scope exit)
-    simulator.at(spec.start_time, [&factory, src, spec, &path] {
-      net::FlowTx flow;
-      flow.spec = spec;
-      flow.line_rate = src->port(0).bandwidth();
-      flow.base_rtt = path.base_rtt;
-      flow.path_hops = path.hops;
-      flow.cc = factory.make(path);
-      src->start_flow(std::move(flow));
-    });
-  }
+  // One simulator, and the network's own stream for CC randomness.
+  const DatacenterSetup::FlowHome home{&simulator, &setup.network().rng()};
+  setup.schedule_flows([home](net::NodeId) { return home; });
 
   simulator.run(config.max_sim_time);
 
+  DatacenterResult result;
   result.flows = recorder.records();
-  result.drops = network.total_drops();
+  result.drops = setup.network().total_drops();
   result.events_executed = simulator.events_executed();
   result.end_time = simulator.now();
   result.unfinished = total - completed;

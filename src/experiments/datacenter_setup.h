@@ -1,0 +1,69 @@
+// Set-up shared by the two datacenter runners (internal to experiments/).
+//
+// run_datacenter() and run_datacenter_sharded() build the same experiment:
+// the fat-tree, the variant's RED/PFC settings, the congestion-control
+// factory, the flow specs (preset or a Poisson draw), the path cache, and
+// one scheduled start event per flow.  DatacenterSetup does all of that in
+// one fixed order, so a given config yields the same network, the same flow
+// set and the same random-stream consumption in both runners.  The runners
+// differ only in where each flow's start event lands and which Rng its
+// controller draws from (FlowHome), and in how they run and collect.
+#pragma once
+
+#include <functional>
+#include <map>
+#include <utility>
+#include <vector>
+
+#include "experiments/datacenter.h"
+#include "net/network.h"
+#include "sim/random.h"
+#include "sim/simulator.h"
+
+namespace fastcc::exp {
+
+class DatacenterSetup {
+ public:
+  /// Builds the fat-tree on `simulator`, applies the variant's RED/PFC
+  /// settings, creates the CC factory, and takes the flow specs from
+  /// config.preset_flows or draws them from a fork of the network's Rng.
+  DatacenterSetup(const DatacenterConfig& config, sim::Simulator& simulator);
+  DatacenterSetup(const DatacenterSetup&) = delete;
+  DatacenterSetup& operator=(const DatacenterSetup&) = delete;
+
+  net::Network& network() { return network_; }
+  const topo::FatTree& tree() const { return tree_; }
+  std::size_t flow_count() const { return specs_.size(); }
+
+  /// Where a flow whose source host is `src` runs: the simulator that owns
+  /// the host and the Rng its controller draws from.
+  struct FlowHome {
+    sim::Simulator* simulator;
+    sim::Rng* rng;
+  };
+
+  /// Remaps every spec's host indices to node ids, resolves its path
+  /// (cached per host pair), and schedules its start on home_of(src).  The
+  /// scheduled events refer into this object, so it must outlive the run.
+  void schedule_flows(const std::function<FlowHome(net::NodeId src)>& home_of);
+
+  /// The path flow `id` was scheduled on.  Read-only once schedule_flows()
+  /// returns, so completion callbacks on any worker may call it.
+  const net::PathInfo& path_of_flow(net::FlowId id) const {
+    return *flow_paths_.at(id);
+  }
+
+ private:
+  const net::PathInfo& path_of(net::NodeId src, net::NodeId dst);
+
+  net::Network network_;
+  topo::FatTree tree_;
+  CcFactory factory_;
+  std::vector<net::FlowSpec> specs_;
+  // Ordered maps: deterministic by construction, and node-based storage
+  // keeps the PathInfo references handed out stable across insertions.
+  std::map<std::pair<net::NodeId, net::NodeId>, net::PathInfo> path_cache_;
+  std::map<net::FlowId, const net::PathInfo*> flow_paths_;
+};
+
+}  // namespace fastcc::exp

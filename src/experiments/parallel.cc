@@ -4,9 +4,8 @@
 
 namespace fastcc::exp {
 
-void parallel_for_index(
-    std::size_t count, unsigned max_threads,
-    FASTCC_SHARD_LOCAL const std::function<void(std::size_t)>& fn) {
+void parallel_for_index(std::size_t count, unsigned max_threads,
+                        const std::function<void(std::size_t)>& fn) {
   if (count == 0) return;
   unsigned workers = max_threads == 0
                          ? std::max(1u, std::thread::hardware_concurrency())

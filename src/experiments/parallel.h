@@ -11,8 +11,6 @@
 #include <thread>
 #include <vector>
 
-#include "util/contracts.h"
-
 #include "experiments/datacenter.h"
 #include "experiments/incast.h"
 
@@ -28,11 +26,9 @@ std::vector<DatacenterResult> run_datacenter_parallel(
     const std::vector<DatacenterConfig>& configs, unsigned max_threads = 0);
 
 /// Generic fan-out used by the two wrappers: applies `fn` to indices
-/// [0, count) on the pool.  `fn` runs on worker threads: like a shard
-/// function it may touch only state owned by its index (FASTCC_SHARD_LOCAL
-/// discipline), never shared mutable state.
-void parallel_for_index(
-    std::size_t count, unsigned max_threads,
-    FASTCC_SHARD_LOCAL const std::function<void(std::size_t)>& fn);
+/// [0, count) on the pool.  `fn` runs on worker threads: it may touch only
+/// state owned by its index, never shared mutable state.
+void parallel_for_index(std::size_t count, unsigned max_threads,
+                        const std::function<void(std::size_t)>& fn);
 
 }  // namespace fastcc::exp

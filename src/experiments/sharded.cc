@@ -2,15 +2,14 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
 #include <memory>
 #include <tuple>
 #include <utility>
 
+#include "experiments/datacenter_setup.h"
 #include "net/network.h"
 #include "net/shard.h"
 #include "sim/epoch.h"
-#include "util/contracts.h"
 #include "sim/simulator.h"
 
 namespace fastcc::exp {
@@ -26,17 +25,47 @@ struct ShardState {
   std::vector<net::CrossShardPacket> inbox;  ///< Reused drain scratch.
 };
 
-/// Epoch-start injection for one shard: re-materializes every packet
-/// published for it at the last barrier and schedules the delivery at the
-/// recorded arrival instant.  take_ready returns (src, seq)-ordered
-/// records; re-sorting by (arrival, src, seq) makes the injection order —
-/// and therefore any same-timestamp tie-break in the event queue —
-/// canonical.
-FASTCC_SHARD_LOCAL void inject_inbox(sim::Simulator& sim, net::PacketPool& pool,
-                  net::Network& network, net::ShardMailboxes& mailboxes,
-                  int s, std::vector<net::CrossShardPacket>& inbox) {
+/// Mutable state the epoch loop threads across the barrier.  Every field is
+/// written only inside the barrier step (plan_epoch below, the one function
+/// handed it by non-const reference) and read by workers, through a const
+/// reference, at the next epoch's start; the barrier's release ordering
+/// makes each update visible.
+struct EpochLoopState {
+  explicit EpochLoopState(int shards)
+      : horizon(static_cast<std::size_t>(shards), 0),
+        work(static_cast<std::size_t>(shards), 0),
+        earliest(static_cast<std::size_t>(shards), 0) {
+    active.reserve(static_cast<std::size_t>(shards));
+  }
+
+  std::vector<sim::Time> horizon;   ///< Per shard.
+  std::vector<int> active;          ///< Shards run this epoch.
+  std::vector<sim::Time> work;      ///< Scratch: t[s].
+  std::vector<sim::Time> earliest;  ///< Scratch: e[s].
+  sim::Time front = 0;              ///< Min active horizon so far.
+  std::uint64_t epochs = 0;
+  std::uint64_t epochs_skipped = 0;
+  std::uint64_t horizon_jumps = 0;
+  bool drained = false;
+};
+
+/// Worker phase: advances shard `s` through the current epoch.  First it
+/// re-materializes every packet published for it since it last ran and
+/// schedules each delivery at its recorded arrival instant: take_ready
+/// returns (src, seq)-ordered records, and re-sorting by (arrival, src,
+/// seq) makes the injection order — and therefore any same-timestamp
+/// tie-break in the event queue — canonical.  Then it runs the shard's
+/// private simulator to its horizon.  Touches only shard s's state plus the
+/// mailboxes' reader-owned column.  Skipped shards never reach here: their
+/// clock lags until their next active epoch, which is harmless because a
+/// skipped shard by definition had nothing to execute in between.
+void advance_shard(sim::Simulator& sim, net::PacketPool& pool,
+                   net::Network& network, net::ShardMailboxes& mailboxes,
+                   std::vector<net::CrossShardPacket>& inbox,
+                   const EpochLoopState& loop, int s,
+                   const sim::WorkerPhase& phase) {
   inbox.clear();
-  mailboxes.take_ready(s, inbox);
+  mailboxes.take_ready(s, inbox, phase);
   std::sort(inbox.begin(), inbox.end(),
             [](const net::CrossShardPacket& a, const net::CrossShardPacket& b) {
               return std::make_tuple(a.arrival, a.src_shard, a.seq) <
@@ -56,53 +85,15 @@ FASTCC_SHARD_LOCAL void inject_inbox(sim::Simulator& sim, net::PacketPool& pool,
     sim.at(rec.arrival, std::move(arrive));
   }
   inbox.clear();
+  sim.run(loop.horizon[static_cast<std::size_t>(s)] - 1);
 }
 
-/// Mutable state the epoch loop threads across the barrier.  Every field is
-/// written only inside the completion step (plan_epoch below) and read by
-/// workers at the next epoch's start; the barrier's release ordering makes
-/// each update visible.
-struct EpochLoopState {
-  explicit EpochLoopState(int shards)
-      : horizon(static_cast<std::size_t>(shards), 0),
-        work(static_cast<std::size_t>(shards), 0),
-        earliest(static_cast<std::size_t>(shards), 0) {
-    active.reserve(static_cast<std::size_t>(shards));
-  }
-
-  FASTCC_EPOCH_PUBLISH std::vector<sim::Time> horizon;  ///< Per shard.
-  FASTCC_EPOCH_PUBLISH std::vector<int> active;  ///< Shards run this epoch.
-  FASTCC_EPOCH_PUBLISH std::vector<sim::Time> work;      ///< Scratch: t[s].
-  FASTCC_EPOCH_PUBLISH std::vector<sim::Time> earliest;  ///< Scratch: e[s].
-  FASTCC_EPOCH_PUBLISH sim::Time front = 0;  ///< Min active horizon so far.
-  FASTCC_EPOCH_PUBLISH std::uint64_t epochs = 0;
-  FASTCC_EPOCH_PUBLISH std::uint64_t epochs_skipped = 0;
-  FASTCC_EPOCH_PUBLISH std::uint64_t horizon_jumps = 0;
-  FASTCC_EPOCH_PUBLISH bool drained = false;
-};
-
-/// Worker phase: advances shard `s` through the current epoch — inject the
-/// transfers published for it since it last ran, then run its private
-/// simulator to its horizon.  Touches only shard s's state plus the
-/// mailboxes' reader-owned column.  Skipped shards never reach here: their
-/// clock lags until their next active epoch, which is harmless because a
-/// skipped shard by definition had nothing to execute in between.
-FASTCC_SHARD_LOCAL void advance_shard(
-    std::vector<std::unique_ptr<sim::Simulator>>& sims,
-    std::vector<std::unique_ptr<net::PacketPool>>& pools, net::Network& network,
-    net::ShardMailboxes& mailboxes, std::vector<ShardState>& shard_state,
-    const EpochLoopState& loop, int s) {
-  const auto si = static_cast<std::size_t>(s);
-  inject_inbox(*sims[si], *pools[si], network, mailboxes, s,
-               shard_state[si].inbox);
-  sims[si]->run(loop.horizon[si] - 1);
-}
-
-/// Barrier completion step: runs single-threaded while every worker is
-/// parked.  Publishes the mailboxes, decides termination (full drain or the
-/// simulated-time cap), and plans the next epoch — per-shard horizons from
-/// the path-closed lookahead matrix plus the active set.  The only place
-/// EpochLoopState is written.
+/// Barrier step: runs single-threaded while every worker is parked (the
+/// first call, before any worker exists, seeds the first epoch).  Publishes
+/// the mailboxes, decides termination (full drain or the simulated-time
+/// cap), and plans the next epoch — per-shard horizons from the path-closed
+/// lookahead matrix plus the active set.  The only place EpochLoopState is
+/// written.
 ///
 /// The plan (DESIGN.md §9.5):
 ///   t[s]  earliest instant shard s could execute anything it already
@@ -120,19 +111,19 @@ FASTCC_SHARD_LOCAL void advance_shard(
 /// stretch the front advances by many legacy quanta in one barrier step
 /// (horizon jump) — the fixed-increment loop this replaces walked such
 /// stretches one minimum-lookahead step at a time.
-FASTCC_EPOCH_PUBLISH bool plan_epoch(
-    std::vector<std::unique_ptr<sim::Simulator>>& sims,
-    net::ShardMailboxes& mailboxes, const net::ShardLookahead& la,
-    sim::Time max_sim_time, EpochLoopState& loop) {
+bool plan_epoch(std::vector<std::unique_ptr<sim::Simulator>>& sims,
+                net::ShardMailboxes& mailboxes, const net::ShardLookahead& la,
+                sim::Time max_sim_time, EpochLoopState& loop,
+                const sim::BarrierPhase& phase) {
   const int shards = la.shards();
-  mailboxes.publish();
+  mailboxes.publish(phase);
 
   sim::Time min_work = sim::kMaxTime;
   for (int s = 0; s < shards; ++s) {
     const auto si = static_cast<std::size_t>(s);
     auto& queue = sims[si]->queue();
     sim::Time t = queue.empty() ? sim::kMaxTime : queue.next_time();
-    t = std::min(t, mailboxes.earliest_ready(s));
+    t = std::min(t, mailboxes.earliest_ready(s, phase));
     loop.work[si] = t;
     min_work = std::min(min_work, t);
   }
@@ -203,7 +194,6 @@ FASTCC_EPOCH_PUBLISH bool plan_epoch(
 DatacenterResult run_datacenter_sharded(const DatacenterConfig& config,
                                         int workers,
                                         ShardedRunStats* stats_out) {
-  assert(!config.components.empty() || !config.preset_flows.empty());
   const int shards =
       config.shard_granularity == topo::ShardGranularity::kTor
           ? config.topo.pods * config.topo.tors_per_pod
@@ -222,41 +212,17 @@ DatacenterResult run_datacenter_sharded(const DatacenterConfig& config,
     pools.push_back(std::make_unique<net::PacketPool>());
   }
 
-  // Build the whole topology against shard 0's simulator, then re-home each
-  // node onto its owning shard below.  Building is serial either way; only
-  // the run is parallel.
-  net::Network network(*sims[0], config.seed);
-  topo::FatTree tree = build_fat_tree(network, config.topo);
+  // Build the whole experiment against shard 0's simulator, then re-home
+  // each node onto its owning shard below.  Building is serial either way;
+  // only the run is parallel.  The set-up draws traffic from the network
+  // stream exactly like run_datacenter, so a given seed produces the same
+  // flow set in both entry points.
+  DatacenterSetup setup(config, *sims[0]);
+  net::Network& network = setup.network();
+  const topo::FatTree& tree = setup.tree();
   const net::ShardMap smap = topo::shard_map_for(
       tree, config.topo, network.node_count(), config.shard_granularity);
   assert(smap.count == shards);
-
-  if (variant_needs_red(config.variant)) {
-    network.set_red_all(red_params_for(config.variant));
-    net::PfcParams pfc;
-    pfc.pause_bytes = 200'000;
-    pfc.resume_bytes = 100'000;
-    network.set_pfc_all(pfc);
-  }
-
-  CcFactory factory(network, config.variant, /*small_topology=*/false);
-
-  // Traffic generation forks the network stream first, exactly like
-  // run_datacenter, so a given seed produces the same flow set in both
-  // entry points.
-  std::vector<net::FlowSpec> specs;
-  if (!config.preset_flows.empty()) {
-    specs = config.preset_flows;
-  } else {
-    workload::PoissonTrafficParams traffic;
-    traffic.components = config.components;
-    traffic.load = config.load;
-    traffic.host_bandwidth = config.topo.host_bandwidth;
-    traffic.host_count = static_cast<int>(tree.hosts.size());
-    traffic.duration = config.generate_duration;
-    sim::Rng traffic_rng = network.rng().fork();
-    specs = workload::generate_poisson_traffic(traffic, traffic_rng);
-  }
 
   // Per-shard random streams, forked in shard order (deterministic).  RED
   // marking at ports and probabilistic CC feedback draw from the owning
@@ -311,56 +277,23 @@ DatacenterResult run_datacenter_sharded(const DatacenterConfig& config,
   assert((shards == 1 || lookahead.min_window() > 0) &&
          "conservative sync needs nonzero boundary latency");
 
-  // Shortest-path BFS all happens here on the calling thread; during the
-  // epoch loop the cache and flow_paths map are read-only (concurrent reads
-  // from completion callbacks are safe).
-  std::map<std::pair<net::NodeId, net::NodeId>, net::PathInfo> path_cache;
-  auto path_of = [&](net::NodeId src,
-                     net::NodeId dst) -> const net::PathInfo& {
-    auto key = std::make_pair(src, dst);
-    auto it = path_cache.find(key);
-    if (it == path_cache.end()) {
-      it = path_cache.emplace(key, network.path(src, dst)).first;
-    }
-    return it->second;
-  };
-
-  const std::size_t total = specs.size();
-  std::map<net::FlowId, const net::PathInfo*> flow_paths;
-  std::vector<ShardState> shard_state(static_cast<std::size_t>(shards));
-
   // Completion callbacks write only the owning shard's state — no shared
   // counter, no stop(); termination is the drain check at the barrier.
+  std::vector<ShardState> shard_state(static_cast<std::size_t>(shards));
   for (net::Host* h : tree.hosts) {
     ShardState* st = &shard_state[static_cast<std::size_t>(smap.of(h->id()))];
-    h->set_completion_callback([st, &flow_paths](const net::FlowTx& f) {
-      st->recorder.record(f, *flow_paths.at(f.spec.id));
+    h->set_completion_callback([st, &setup](const net::FlowTx& f) {
+      st->recorder.record(f, setup.path_of_flow(f.spec.id));
       ++st->completed;
     });
   }
 
-  for (net::FlowSpec& spec : specs) {
-    net::Host* src = tree.hosts[spec.src];
-    net::Host* dst = tree.hosts[spec.dst];
-    spec.src = src->id();
-    spec.dst = dst->id();
-    const net::PathInfo& path = path_of(spec.src, spec.dst);
-    flow_paths.emplace(spec.id, &path);
-    const std::size_t s = static_cast<std::size_t>(smap.of(spec.src));
-    sim::Rng* rng = &shard_rngs[s];
-    // The factory and cached path outlive the schedule: the epoch loop
-    // below drains every flow-start event before this scope exits.
-    // lint:allow(ref-capture-callback -- epoch loop drains before scope exit)
-    sims[s]->at(spec.start_time, [&factory, src, spec, &path, rng] {
-      net::FlowTx flow;
-      flow.spec = spec;
-      flow.line_rate = src->port(0).bandwidth();
-      flow.base_rtt = path.base_rtt;
-      flow.path_hops = path.hops;
-      flow.cc = factory.make(path, rng);
-      src->start_flow(std::move(flow));
-    });
-  }
+  // Path resolution all happens here on the calling thread; during the
+  // epoch loop the set-up's path tables are read-only.
+  setup.schedule_flows([&](net::NodeId src) {
+    const auto s = static_cast<std::size_t>(smap.of(src));
+    return DatacenterSetup::FlowHome{sims[s].get(), &shard_rngs[s]};
+  });
 
   // ---- The epoch loop ----------------------------------------------------
   // Each epoch, shard s runs its queue through [its clock, horizon[s]).
@@ -368,24 +301,21 @@ DatacenterResult run_datacenter_sharded(const DatacenterConfig& config,
   // to horizon[s] - 1; a bounded run leaves the clock at the bound even
   // when the queue drained early.  Skipped shards are not touched at all —
   // their clock catches up the next time they are active.  The worker and
-  // completion-step bodies live in the named phase-annotated functions
-  // above; the lambdas only bind this run's state to them.  plan_epoch is
-  // called once up front to seed the first active set and horizons, then
-  // once per barrier.
+  // barrier bodies are the named functions above; the lambdas only bind
+  // this run's state to them and pass on the executor's phase token.  The
+  // executor's first barrier step seeds the first active set and horizons.
   EpochLoopState loop(shards);
-
-  auto shard_fn = [&](int s) {
-    advance_shard(sims, pools, network, mailboxes, shard_state, loop, s);
-  };
-
-  auto barrier_fn = [&]() -> bool {
-    return plan_epoch(sims, mailboxes, lookahead, config.max_sim_time, loop);
-  };
-
-  if (plan_epoch(sims, mailboxes, lookahead, config.max_sim_time, loop)) {
-    sim::EpochCoordinator::run_active(shards, workers, loop.active, shard_fn,
-                                      barrier_fn);
-  }
+  sim::EpochCoordinator::run_active(
+      shards, workers, loop.active,
+      [&](int s, const sim::WorkerPhase& phase) {
+        const auto si = static_cast<std::size_t>(s);
+        advance_shard(*sims[si], *pools[si], network, mailboxes,
+                      shard_state[si].inbox, loop, s, phase);
+      },
+      [&](const sim::BarrierPhase& phase) {
+        return plan_epoch(sims, mailboxes, lookahead, config.max_sim_time,
+                          loop, phase);
+      });
 
   // ---- Merge -------------------------------------------------------------
   DatacenterResult result;
@@ -406,12 +336,11 @@ DatacenterResult run_datacenter_sharded(const DatacenterConfig& config,
   // Shards stop at per-shard horizons (skipped shards' clocks lag), so the
   // furthest clock is the run's end time.
   for (const auto& sim : sims) result.end_time = std::max(result.end_time, sim->now());
-  result.unfinished = total - completed;
+  result.unfinished = setup.flow_count() - completed;
 
   if (stats_out != nullptr) {
     stats_out->shards = shards;
     stats_out->workers = std::clamp(workers, 1, shards);
-    stats_out->lookahead = lookahead.min_window();
     stats_out->lookahead_min = lookahead.min_window();
     stats_out->lookahead_max = lookahead.max_window();
     stats_out->epochs = loop.epochs;

@@ -1,4 +1,4 @@
-// Space-parallel datacenter runs: one simulation, sharded by pod or by ToR.
+// Space-parallel datacenter runs: one simulation, sharded by pod or by rack.
 //
 // run_datacenter_sharded() executes the same experiment as run_datacenter(),
 // but partitions the fat-tree into logical shards — one per pod, or one per
@@ -7,8 +7,9 @@
 // private Simulator, PacketPool, and Rng, and advances the shards in
 // conservative barrier epochs (see sim/epoch.h) on `workers` OS threads.
 // Packets crossing a shard boundary are serialized out of the source shard's
-// pool into per-shard-pair mailboxes at the epoch barrier and
-// re-materialized by the destination shard (see net/shard.h).
+// pool into per-shard-pair mailboxes, published at the epoch barrier, and
+// re-materialized by the destination shard (see net/shard.h).  Both entry
+// points build the experiment through the same DatacenterSetup.
 //
 // Epochs are adaptive, not fixed-length: a path-closed per-ordered-pair
 // lookahead matrix (net::ShardLookahead) plus each shard's earliest pending
@@ -38,10 +39,11 @@ namespace fastcc::exp {
 struct ShardedRunStats {
   int shards = 1;
   int workers = 1;              ///< After clamping to [1, shards].
-  sim::Time lookahead = 0;      ///< Min boundary-link delay (legacy quantum).
   /// Smallest / largest finite entry of the per-pair lookahead matrix
-  /// (path-closed, off-diagonal).  Equal on homogeneous-latency
-  /// topologies; a spread is the slack the adaptive horizons exploit.
+  /// (path-closed, off-diagonal).  lookahead_min is the minimum
+  /// boundary-link delay, the quantum a fixed-step executor would use.
+  /// Equal on homogeneous-latency topologies; a spread is the slack the
+  /// adaptive horizons exploit.
   sim::Time lookahead_min = 0;
   sim::Time lookahead_max = 0;
   std::uint64_t epochs = 0;
@@ -49,8 +51,8 @@ struct ShardedRunStats {
   /// local event and inbound release horizons both sat beyond its epoch
   /// horizon, so it was never claimed (its simulator was not touched).
   std::uint64_t epochs_skipped = 0;
-  /// Barrier steps whose horizon front advanced by more than the legacy
-  /// quantum (`lookahead`) in one jump — idle stretches fast-forwarded
+  /// Barrier steps whose horizon front advanced by more than the fixed
+  /// quantum (`lookahead_min`) in one jump — idle stretches fast-forwarded
   /// instead of being walked one lookahead at a time.
   std::uint64_t horizon_jumps = 0;
   std::uint64_t cross_shard_transfers = 0;
@@ -59,8 +61,8 @@ struct ShardedRunStats {
   std::vector<std::uint32_t> pool_live_at_end;  ///< 0 for every drained shard.
 };
 
-/// Runs `config` sharded by pod on `workers` threads (0 = one per shard;
-/// values above the shard count are clamped).  The calling thread
+/// Runs `config` sharded at config.shard_granularity on `workers` threads
+/// (0 = one per shard; values above the shard count are clamped).  The calling thread
 /// participates as a worker.  Termination: runs until every shard's event
 /// queue and every mailbox is empty (full drain — this is what makes the
 /// pool leak audit meaningful), or until the epoch horizon reaches

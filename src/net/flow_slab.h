@@ -33,11 +33,10 @@
 
 #include "net/flow.h"
 #include "net/flow_view.h"
-#include "util/contracts.h"
 
 namespace fastcc::net {
 
-class FASTCC_SHARD_LOCAL FlowSlab {
+class FlowSlab {
  public:
   FlowIdx size() const { return static_cast<FlowIdx>(flow_id.size()); }
   bool empty() const { return flow_id.empty(); }

@@ -85,8 +85,7 @@ void Host::receive(FASTCC_CONSUMES PacketRef ref, int in_port) {
   packet_pool()->release(ref);
 }
 
-FASTCC_SHARD_LOCAL void Host::deliver_batch(FASTCC_CONSUMES PacketRef first,
-                                            int in_port) {
+void Host::deliver_batch(FASTCC_CONSUMES PacketRef first, int in_port) {
   // One pass applies every packet's cheap per-ACK update; the expensive
   // follow-up (completion, rate-sum, CC-timer sync, window/pacing probe,
   // arbiter fix-up) then runs once per touched flow, in first-appearance

@@ -85,12 +85,10 @@ class Host : public Node {
   /// Batched arrival: one pass over the chain applies every ACK's hot-state
   /// update, then each touched flow gets exactly one completion / pacing /
   /// arbiter follow-up.
-  FASTCC_SHARD_LOCAL void deliver_batch(FASTCC_CONSUMES PacketRef first,
-                                        int in_port) override;
+  void deliver_batch(FASTCC_CONSUMES PacketRef first, int in_port) override;
 
  protected:
-  FASTCC_SHARD_LOCAL void receive(FASTCC_CONSUMES PacketRef ref,
-                                  int in_port) override;
+  void receive(FASTCC_CONSUMES PacketRef ref, int in_port) override;
 
  private:
   void handle_data(const Packet& p);
@@ -154,15 +152,15 @@ class Host : public Node {
   };
 
   /// Hot per-flow state of unfinished flows (struct-of-arrays).
-  FASTCC_SHARD_LOCAL FlowSlab slab_;
+  FlowSlab slab_;
   // Cold records + finished-flow archive.  Insertion-ordered so that
   // aggregate walks (the equivalence recompute's double accumulation) visit
   // flows in start order, not hash order.
-  FASTCC_SHARD_LOCAL util::InsertionOrderedMap<FlowId, FlowTx> tx_flows_;
-  FASTCC_SHARD_LOCAL util::InsertionOrderedMap<FlowId, RxState> rx_flows_;
+  util::InsertionOrderedMap<FlowId, FlowTx> tx_flows_;
+  util::InsertionOrderedMap<FlowId, RxState> rx_flows_;
   std::size_t active_flows_ = 0;
   sim::Rate rate_sum_ = 0.0;
-  FASTCC_SHARD_LOCAL std::vector<PacingEntry> pacing_heap_;
+  std::vector<PacingEntry> pacing_heap_;
   sim::TimerId nic_timer_ = 0;
   sim::Time nic_timer_at_ = -1;
   bool nic_timer_armed_ = false;

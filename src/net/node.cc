@@ -32,8 +32,7 @@ void Node::rebind_shard(sim::Simulator& simulator, PacketPool* pool) {
   for (auto& p : ports_) p->rebind_simulator(simulator);
 }
 
-FASTCC_SHARD_LOCAL void Node::deliver(FASTCC_CONSUMES PacketRef ref,
-                                      int in_port) {
+void Node::deliver(FASTCC_CONSUMES PacketRef ref, int in_port) {
   assert(in_port >= 0 && in_port < port_count());
   assert(pool_ != nullptr && "node has no packet pool bound");
   Packet& p = pool_->get(ref);
@@ -58,8 +57,7 @@ FASTCC_SHARD_LOCAL void Node::deliver(FASTCC_CONSUMES PacketRef ref,
   }
 }
 
-FASTCC_SHARD_LOCAL void Node::deliver_batch(FASTCC_CONSUMES PacketRef first,
-                                            int in_port) {
+void Node::deliver_batch(FASTCC_CONSUMES PacketRef first, int in_port) {
   while (first.valid()) {
     // Read the link *before* deliver(): the callee may forward or release
     // the packet, recycling the slot (and with it batch_next).
@@ -73,7 +71,7 @@ FASTCC_SHARD_LOCAL void Node::deliver_batch(FASTCC_CONSUMES PacketRef first,
   }  // lint:allow(path-leak -- chain cursor: every link was transferred to deliver; the tail link is kInvalid)
 }
 
-FASTCC_SHARD_LOCAL void Node::on_packet_departed(const Packet& p) {
+void Node::on_packet_departed(const Packet& p) {
   if (p.ingress_port >= 0) {
     pfc_account(p.ingress_port, -static_cast<std::int64_t>(p.wire_bytes));
   }
@@ -103,7 +101,7 @@ void Node::pfc_account(int in_port, std::int64_t delta_bytes) {
   }
 }
 
-FASTCC_SHARD_LOCAL void Node::send_pfc(int in_port, bool pause) {
+void Node::send_pfc(int in_port, bool pause) {
   Port& reverse = *ports_[in_port];
   if (!reverse.connected()) return;
   // PFC frames are tiny and sent at highest priority; model them as arriving

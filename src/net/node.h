@@ -64,7 +64,7 @@ class Node {
   /// Entry point for packets arriving off the wire.  `in_port` is the index
   /// of this node's reverse-direction port for the arrival link.  Worker
   /// phase: runs only on the thread currently advancing this node's shard.
-  FASTCC_SHARD_LOCAL void deliver(FASTCC_CONSUMES PacketRef ref, int in_port);
+  void deliver(FASTCC_CONSUMES PacketRef ref, int in_port);
 
   /// Batched arrival: `first` heads an intra-burst chain linked through
   /// Packet::batch_next, all transmitted back-to-back on the same link and
@@ -72,8 +72,7 @@ class Node {
   /// interrupt coalescing: causal, never early).  The base implementation
   /// simply walks the chain through deliver(); Host overrides it to
   /// coalesce the chain's ACKs into a single per-flow CC / arbiter pass.
-  FASTCC_SHARD_LOCAL virtual void deliver_batch(FASTCC_CONSUMES PacketRef first,
-                                                int in_port);
+  virtual void deliver_batch(FASTCC_CONSUMES PacketRef first, int in_port);
 
   /// True when this node wants chained deliver_batch() arrivals.  Ports
   /// consult the *peer* node: switches keep exact per-packet arrival events
@@ -105,8 +104,7 @@ class Node {
  protected:
   /// Subclass packet handling (forwarding for switches, host protocol).
   /// The callee owns the handle: forward it or release it.  Worker phase.
-  FASTCC_SHARD_LOCAL virtual void receive(FASTCC_CONSUMES PacketRef ref,
-                                          int in_port) = 0;
+  virtual void receive(FASTCC_CONSUMES PacketRef ref, int in_port) = 0;
 
   /// Set once by SwitchNode's constructor: deliver() dispatches forwarding
   /// statically (a predictable branch) instead of through the vtable — the
@@ -124,20 +122,20 @@ class Node {
   sim::Simulator* sim_;  ///< Never null; a pointer only so rebind_shard works.
 
  private:
-  FASTCC_SHARD_LOCAL sim::WheelScheduler wheel_{*sim_};
+  sim::WheelScheduler wheel_{*sim_};
 
   void send_pfc(int in_port, bool pause);
 
   NodeId id_;
   std::string name_;
-  FASTCC_SHARD_LOCAL std::vector<std::unique_ptr<Port>> ports_;
-  FASTCC_SHARD_LOCAL PacketPool* pool_ = nullptr;
+  std::vector<std::unique_ptr<Port>> ports_;
+  PacketPool* pool_ = nullptr;
 
   bool is_switch_ = false;
   PfcParams pfc_;
-  FASTCC_SHARD_LOCAL std::vector<std::uint64_t> ingress_bytes_;
-  FASTCC_SHARD_LOCAL std::vector<bool> ingress_paused_;  // pause sent upstream
-  FASTCC_SHARD_LOCAL int paused_ingress_count_ = 0;      // popcount of above
+  std::vector<std::uint64_t> ingress_bytes_;
+  std::vector<bool> ingress_paused_;  // pause sent upstream
+  int paused_ingress_count_ = 0;      // popcount of above
 };
 
 }  // namespace fastcc::net

@@ -59,7 +59,7 @@ struct PacketRef {
   bool operator==(const PacketRef&) const = default;
 };
 
-class FASTCC_SHARD_LOCAL PacketPool {
+class PacketPool {
  public:
   PacketPool() = default;
   PacketPool(const PacketPool&) = delete;
@@ -133,7 +133,7 @@ class FASTCC_SHARD_LOCAL PacketPool {
   /// the bytes and retires the handle (slot to the freelist, generation
   /// bumped, exactly as release()).  The returned value is what crosses the
   /// mailbox; the destination shard re-materializes it via import_packet().
-  Packet export_release(FASTCC_CONSUMES_XSHARD PacketRef ref) {
+  Packet export_release(FASTCC_CONSUMES PacketRef ref) {
     Packet out = get(ref);
     release(ref);
     return out;
@@ -211,7 +211,7 @@ class FASTCC_SHARD_LOCAL PacketPool {
 /// Index ring buffer of PacketRef handles — the Port egress queue.  Replaces
 /// std::deque<Packet>: 4 bytes per queued packet instead of ~300, contiguous,
 /// and allocation-free once grown to the high-water capacity.
-class FASTCC_SHARD_LOCAL PacketRing {
+class PacketRing {
  public:
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }

@@ -63,7 +63,7 @@ class Port {
   /// RED marking and buffer accounting, then kicks the transmitter.  On a
   /// tail drop the packet's PFC ingress accounting is released and the
   /// handle returned to the pool.
-  FASTCC_SHARD_LOCAL void enqueue(FASTCC_CONSUMES PacketRef ref);
+  void enqueue(FASTCC_CONSUMES PacketRef ref);
 
   /// Convenience overload (tests, standalone tools): copies the packet into
   /// a fresh pool slot, then enqueues the handle.
@@ -149,11 +149,11 @@ class Port {
   sim::Rate bandwidth_ = 0.0;
   sim::Time prop_delay_ = 0;
 
-  FASTCC_SHARD_LOCAL PacketPool* pool_ = nullptr;
-  FASTCC_SHARD_LOCAL PacketRing high_q_;  // control / ACK
-  FASTCC_SHARD_LOCAL PacketRing low_q_;   // data
-  FASTCC_SHARD_LOCAL FASTCC_UNIT_BYTES std::uint64_t queued_bytes_ = 0;
-  FASTCC_SHARD_LOCAL FASTCC_UNIT_BYTES std::uint64_t data_queued_bytes_ = 0;
+  PacketPool* pool_ = nullptr;
+  PacketRing high_q_;  // control / ACK
+  PacketRing low_q_;   // data
+  FASTCC_UNIT_BYTES std::uint64_t queued_bytes_ = 0;
+  FASTCC_UNIT_BYTES std::uint64_t data_queued_bytes_ = 0;
   FASTCC_UNIT_BYTES std::uint64_t max_queued_bytes_ = 0;
   FASTCC_UNIT_BYTES std::uint64_t buffer_limit_ = UINT64_MAX;
   FASTCC_UNIT_BYTES std::uint64_t tx_bytes_ = 0;

@@ -1,9 +1,9 @@
-// Space-parallel sharding: mailboxes and routing for pod-sharded execution.
+// Space-parallel sharding: mailboxes and routing for sharded execution.
 //
 // A sharded run partitions one fat-tree simulation into P logical shards
-// (one per pod; spines distributed round-robin), each with its own
+// (one per pod or one per rack; see topo::shard_map_for), each with its own
 // Simulator, PacketPool, and Rng.  Everything inside a shard runs exactly
-// as in the serial simulator; only packets crossing a pod boundary leave
+// as in the serial simulator; only packets crossing a shard boundary leave
 // their shard, and they do so through the types in this header:
 //
 //   Port/Node (egress)  --deposit-->  ShardRouter  --put-->  ShardMailboxes
@@ -22,21 +22,23 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "net/packet.h"
+#include "sim/epoch.h"
 #include "sim/time.h"
-#include "util/contracts.h"
 
 namespace fastcc::net {
 
 /// Node -> shard assignment for a sharded run.  Built once from the
-/// topology (see topo::pod_shard_map) and read-only afterwards, so every
-/// worker may consult it concurrently.
+/// topology (see topo::shard_map_for) and read-only afterwards — the run
+/// holds it only as `const ShardMap*` — so every worker may consult it
+/// concurrently.
 struct ShardMap {
-  FASTCC_SHARD_SHARED_RO std::vector<std::int32_t> shard;  ///< By NodeId.
-  int count = 1;                    ///< Number of shards (== pods).
+  std::vector<std::int32_t> shard;  ///< By NodeId.
+  int count = 1;                    ///< Number of shards.
 
   int of(NodeId id) const {
     assert(id < shard.size());
@@ -61,8 +63,8 @@ struct ShardMap {
 /// inequality by construction, which is exactly the induction the
 /// conservative-PDES argument needs (DESIGN.md §9.5).
 ///
-/// Built once from the shard map during (serial) setup, read-only during
-/// the run.
+/// Built once from the shard map during (serial) setup; the run sees it
+/// only as `const ShardLookahead&`.
 class ShardLookahead {
  public:
   static constexpr sim::Time kUnreachable = sim::kMaxTime;
@@ -139,7 +141,7 @@ class ShardLookahead {
 
   int shards_;
   bool sealed_ = false;
-  FASTCC_SHARD_SHARED_RO std::vector<sim::Time> delay_;  ///< Row-major.
+  std::vector<sim::Time> delay_;  ///< Row-major.
 };
 
 /// A packet serialized out of its source shard's pool, in flight between
@@ -156,38 +158,40 @@ struct CrossShardPacket {
   std::uint64_t seq = 0;  ///< Per-(src, dst) shard-pair transfer counter.
 };
 
+// What crosses a shard boundary is plain bytes: a PacketRef names a slot in
+// the source shard's pool and means nothing in the destination's.
+static_assert(std::is_trivially_copyable_v<Packet>,
+              "cross-shard packets travel as bytes, never as handles");
+
 /// Abstract destination for packets leaving a shard.  Port::start_tx and
 /// Node::send_pfc call deposit() instead of scheduling a local delivery
 /// when the egress port is marked as a shard boundary.  The packet must
-/// already be out of the source pool (export_release) — deposit() takes the
-/// bytes by value, never a handle.
+/// already be out of the source pool (export_release): deposit() takes the
+/// bytes by value, and a PacketRef does not convert to a Packet.
 class CrossShardSink {
  public:
   virtual ~CrossShardSink() = default;
 
   /// Accepts one boundary-crossing packet.  `arrival` is the absolute
   /// simulated time the packet reaches `dst_node` on its `dst_port`.
-  FASTCC_XSHARD_SINK virtual void deposit(Packet&& pkt, sim::Time arrival,
-                                          NodeId dst_node, int dst_port) = 0;
+  virtual void deposit(Packet&& pkt, sim::Time arrival, NodeId dst_node,
+                       int dst_port) = 0;
 };
 
 /// P x P matrix of single-writer mailboxes with epoch-barrier publication.
 ///
 /// Threading protocol (the whole reason this class is safe without locks):
-///   * During an epoch, cell (s, d) of `pending_` is written only by the
-///     worker running shard s.  No one reads it.
-///   * publish() runs single-threaded inside the barrier completion step;
-///     it moves every pending cell into `ready_`.
-///   * During the next epoch, cell (s, d) of `ready_` is read only by the
-///     worker running shard d.  No one writes it.
+///   * During an epoch, row s of `pending_` is written only by shard s's
+///     ShardRouter, i.e. by the worker running shard s.  No one reads it.
+///   * publish() runs single-threaded inside the barrier step; it moves
+///     every pending cell into `ready_`.
+///   * During the next epoch, column d of `ready_` is read and drained only
+///     by the worker running shard d.  No one writes it.
 /// The epoch barrier's acquire/release ordering makes each hand-off visible.
-///
-/// fastcc-shardsafe enforces the protocol statically: the class is the typed
-/// FASTCC_XSHARD_CHANNEL, its deposit/drain methods are worker-phase
-/// (FASTCC_SHARD_LOCAL) and its publish side is barrier-phase
-/// (FASTCC_EPOCH_PUBLISH); the two places where one side legitimately
-/// touches the other side's cells carry reasoned allows below.
-class FASTCC_XSHARD_CHANNEL ShardMailboxes {
+/// The compiler holds the protocol: put() is private to ShardRouter (the
+/// single writer of its shard's row), and each phase-bound method demands
+/// the matching token from sim::EpochCoordinator.
+class ShardMailboxes {
  public:
   explicit ShardMailboxes(int shards)
       : shards_(shards),
@@ -199,19 +203,9 @@ class FASTCC_XSHARD_CHANNEL ShardMailboxes {
     assert(shards >= 1);
   }
 
-  /// Appends a transfer to the (src, dst) pending cell and stamps its
-  /// sequence number.  Caller must be the worker running shard `src`.
-  FASTCC_SHARD_LOCAL void put(int src, int dst, CrossShardPacket&& rec) {
-    auto& c = cell(pending_, src, dst);
-    rec.src_shard = src;
-    rec.seq = seq_[index(src, dst)]++;
-    c.push_back(std::move(rec));
-  }
-
   /// Moves every pending cell into the ready side and folds each record's
-  /// arrival into the cell's release horizon.  Must run while all workers
-  /// are parked at the epoch barrier (single-threaded).
-  FASTCC_EPOCH_PUBLISH void publish() {
+  /// arrival into the cell's release horizon.
+  void publish(const sim::BarrierPhase&) {
     for (std::size_t i = 0; i < pending_.size(); ++i) {
       if (pending_[i].empty()) continue;
       auto& r = ready_[i];
@@ -219,27 +213,22 @@ class FASTCC_XSHARD_CHANNEL ShardMailboxes {
         ready_release_[i] = std::min(ready_release_[i], rec.arrival);
         r.push_back(std::move(rec));
       }
-      // The publish step is the ownership handoff point: all workers are
-      // parked, so draining the worker-side cell here cannot race.
-      // lint:allow(epoch-phase-write -- barrier step drains worker cells while all workers are parked)
       pending_[i].clear();
     }
   }
 
   /// Drains everything published for shard `dst` into `out` (appended in
   /// ascending src-shard order; each cell is already seq-ordered).  Caller
-  /// must be the worker running shard `dst`.
-  FASTCC_SHARD_LOCAL void take_ready(int dst, std::vector<CrossShardPacket>& out) {
+  /// must be the worker running shard `dst`: column d of the ready side is
+  /// that worker's alone between two barriers.
+  void take_ready(int dst, std::vector<CrossShardPacket>& out,
+                  const sim::WorkerPhase&) {
     for (int src = 0; src < shards_; ++src) {
       auto& c = cell(ready_, src, dst);
       for (auto& rec : c) out.push_back(std::move(rec));
-      // Single-reader drain: only shard dst's worker touches column (*, dst)
-      // of the ready side, and only after the publishing barrier.
-      // lint:allow(epoch-phase-write -- reader-owned column drain after the publish barrier)
       c.clear();
       // The drained cell holds nothing, so its release horizon resets; the
       // next publish() re-derives it from whatever lands later.
-      // lint:allow(epoch-phase-write -- reader-owned release-horizon reset travels with the column drain)
       ready_release_[index(src, dst)] = sim::kMaxTime;
     }
   }
@@ -249,15 +238,15 @@ class FASTCC_XSHARD_CHANNEL ShardMailboxes {
   /// cell is empty.  This is what lets an idle destination *skip* an epoch
   /// without draining: retained records stay exactly as published, and the
   /// planner consults the horizon instead of the records.
-  FASTCC_EPOCH_PUBLISH sim::Time ready_release(int src, int dst) const {
+  sim::Time ready_release(int src, int dst, const sim::BarrierPhase&) const {
     return ready_release_[index(src, dst)];
   }
 
   /// Earliest published-but-undrained arrival destined for `dst` over every
   /// source (the destination's inbound release horizon); sim::kMaxTime when
-  /// nothing is in flight toward it.  Barrier phase: the epoch planner
-  /// reads it to size horizons and pick the active set.
-  FASTCC_EPOCH_PUBLISH sim::Time earliest_ready(int dst) const {
+  /// nothing is in flight toward it.  The epoch planner reads it to size
+  /// horizons and pick the active set.
+  sim::Time earliest_ready(int dst, const sim::BarrierPhase&) const {
     sim::Time earliest = sim::kMaxTime;
     for (int src = 0; src < shards_; ++src) {
       earliest = std::min(earliest, ready_release_[index(src, dst)]);
@@ -265,9 +254,10 @@ class FASTCC_XSHARD_CHANNEL ShardMailboxes {
     return earliest;
   }
 
-  /// True when no transfer is pending or published anywhere.  Part of the
-  /// termination condition; must run at the barrier (single-threaded).
-  FASTCC_EPOCH_PUBLISH bool all_empty() const {
+  /// True when no transfer is pending or published anywhere.  An observer
+  /// for tests and post-run checks: it reads every cell, so call it only
+  /// while no epoch loop is running.
+  bool all_empty() const {
     for (const auto& c : pending_)
       if (!c.empty()) return false;
     for (const auto& c : ready_)
@@ -275,7 +265,8 @@ class FASTCC_XSHARD_CHANNEL ShardMailboxes {
     return true;
   }
 
-  /// Total transfers ever deposited, over all shard pairs (stats).
+  /// Total transfers ever deposited, over all shard pairs (stats; like
+  /// all_empty(), read it only while no epoch loop is running).
   std::uint64_t total_transfers() const {
     std::uint64_t n = 0;
     for (const std::uint64_t s : seq_) n += s;
@@ -285,7 +276,18 @@ class FASTCC_XSHARD_CHANNEL ShardMailboxes {
   int shards() const { return shards_; }
 
  private:
+  friend class ShardRouter;
   using Cell = std::vector<CrossShardPacket>;
+
+  /// Appends a transfer to the (src, dst) pending cell and stamps its
+  /// sequence number.  Only ShardRouter calls it, and router `src` is the
+  /// one sink of shard src's boundary ports.
+  void put(int src, int dst, CrossShardPacket&& rec) {
+    auto& c = cell(pending_, src, dst);
+    rec.src_shard = src;
+    rec.seq = seq_[index(src, dst)]++;
+    c.push_back(std::move(rec));
+  }
 
   std::size_t index(int src, int dst) const {
     assert(src >= 0 && src < shards_ && dst >= 0 && dst < shards_);
@@ -296,12 +298,12 @@ class FASTCC_XSHARD_CHANNEL ShardMailboxes {
   }
 
   int shards_;
-  FASTCC_SHARD_LOCAL std::vector<Cell> pending_;   ///< Writer-side cells.
-  FASTCC_EPOCH_PUBLISH std::vector<Cell> ready_;   ///< Published cells.
+  std::vector<Cell> pending_;  ///< Writer-side cells.
+  std::vector<Cell> ready_;    ///< Published cells.
   /// Per-cell earliest arrival on the ready side (kMaxTime = empty cell).
   /// Folded by publish(), reset by the owning reader's take_ready().
-  FASTCC_EPOCH_PUBLISH std::vector<sim::Time> ready_release_;
-  FASTCC_SHARD_LOCAL std::vector<std::uint64_t> seq_;
+  std::vector<sim::Time> ready_release_;
+  std::vector<std::uint64_t> seq_;
 };
 
 /// The per-source-shard CrossShardSink: looks up the destination's shard in
@@ -313,8 +315,8 @@ class ShardRouter final : public CrossShardSink {
   ShardRouter(ShardMailboxes* mailboxes, const ShardMap* map, int src_shard)
       : mailboxes_(mailboxes), map_(map), src_shard_(src_shard) {}
 
-  FASTCC_XSHARD_SINK void deposit(Packet&& pkt, sim::Time arrival,
-                                  NodeId dst_node, int dst_port) override {
+  void deposit(Packet&& pkt, sim::Time arrival, NodeId dst_node,
+               int dst_port) override {
     const int dst_shard = map_->of(dst_node);
     assert(dst_shard != src_shard_ &&
            "cross-shard sink invoked for an intra-shard link");
@@ -328,7 +330,7 @@ class ShardRouter final : public CrossShardSink {
 
  private:
   ShardMailboxes* mailboxes_;
-  FASTCC_SHARD_SHARED_RO const ShardMap* map_;
+  const ShardMap* map_;
   int src_shard_;
 };
 

@@ -31,7 +31,7 @@ class SwitchNode : public Node {
   const std::vector<int>& routes(NodeId dst) const;
 
   /// Forwarding body, reachable without a vtable hop (see Node::deliver).
-  FASTCC_SHARD_LOCAL void forward(FASTCC_CONSUMES PacketRef ref, int in_port);
+  void forward(FASTCC_CONSUMES PacketRef ref, int in_port);
 
  protected:
   void receive(FASTCC_CONSUMES PacketRef ref, int in_port) override;
@@ -39,7 +39,7 @@ class SwitchNode : public Node {
  private:
   /// Built by Network::build_routes() before the run; read-only afterwards
   /// (ECMP lookups happen concurrently from every shard's worker).
-  FASTCC_SHARD_SHARED_RO std::vector<std::vector<int>> routes_by_dst_;
+  std::vector<std::vector<int>> routes_by_dst_;
   /// Forwarding-path mirror of routes_by_dst_: one dense word per
   /// destination (candidate count in the top byte, offset into flat_ports_
   /// below) so the per-packet lookup is two dependent loads into arrays a
@@ -48,8 +48,8 @@ class SwitchNode : public Node {
   /// new candidate list and repoints the word; a re-set destination strands
   /// its old range (routes are built once per topology, so the waste is
   /// bytes, not growth).
-  FASTCC_SHARD_SHARED_RO std::vector<std::uint32_t> route_ref_;
-  FASTCC_SHARD_SHARED_RO std::vector<std::int16_t> flat_ports_;
+  std::vector<std::uint32_t> route_ref_;
+  std::vector<std::int16_t> flat_ports_;
   static const std::vector<int> kNoRoutes;
 };
 

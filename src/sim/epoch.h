@@ -2,67 +2,75 @@
 //
 // Classic conservative-synchronization PDES, specialized to the one shape
 // this codebase needs: a fixed set of logical shards that may only interact
-// across epoch boundaries.  Time is cut into epochs of length L (the
-// lookahead — the minimum latency of any cross-shard interaction).  Within
-// an epoch every shard advances independently; an event generated in epoch k
-// for another shard cannot take effect before time (k+1)*L, so exchanging
-// those events at a barrier between epochs is sufficient for correctness.
+// across epoch boundaries.  The executor knows nothing about simulators or
+// packets.  It alternates a single-threaded barrier step (`barrier_fn`:
+// publish mailboxes, plan the next epoch, decide whether to continue) with
+// one `shard_fn(s)` call per active shard, spread across `workers` OS
+// threads via an atomic work index, the calling thread participating.
 //
-// The executor knows nothing about simulators or packets.  It runs
-// `shard_fn(s)` for every shard each epoch — spread across `workers` OS
-// threads via an atomic work index, the calling thread participating — then
-// runs `barrier_fn()` exactly once, single-threaded, inside the barrier
-// (publish mailboxes, advance the horizon, decide whether to continue).
+// The two phases are types: `shard_fn` receives a WorkerPhase and
+// `barrier_fn` a BarrierPhase.  Only the executor can create either and
+// neither can be copied, so an API that demands one (net::ShardMailboxes)
+// cannot be called from the wrong phase, or outside the epoch loop.
 #pragma once
 
 #include <functional>
 #include <vector>
 
-#include "util/contracts.h"
-
 namespace fastcc::sim {
+
+/// Held only inside `shard_fn`, while a worker runs one shard.
+class WorkerPhase {
+ public:
+  WorkerPhase(const WorkerPhase&) = delete;
+  WorkerPhase& operator=(const WorkerPhase&) = delete;
+
+ private:
+  friend class EpochCoordinator;
+  WorkerPhase() = default;
+};
+
+/// Held only inside `barrier_fn`, which runs while every worker is parked.
+class BarrierPhase {
+ public:
+  BarrierPhase(const BarrierPhase&) = delete;
+  BarrierPhase& operator=(const BarrierPhase&) = delete;
+
+ private:
+  friend class EpochCoordinator;
+  BarrierPhase() = default;
+};
 
 class EpochCoordinator {
  public:
-  /// Advances shard `s` through the current epoch.  Called once per shard
-  /// per epoch, possibly from any worker thread, but never concurrently for
-  /// the same shard.
-  using ShardFn = std::function<void(int)>;
-  /// Epoch-boundary step.  Runs single-threaded while all workers are
-  /// parked; returns false to end the run.
-  using BarrierFn = std::function<bool()>;
+  /// Advances shard `s` through the current epoch.  Called once per active
+  /// shard per epoch, possibly from any worker thread, but never
+  /// concurrently for the same shard.
+  using ShardFn = std::function<void(int, const WorkerPhase&)>;
+  /// Barrier step.  Runs single-threaded while all workers are parked;
+  /// returns false to end the run.
+  using BarrierFn = std::function<bool(const BarrierPhase&)>;
 
-  /// Runs epochs until `barrier_fn` returns false.  `workers` is clamped to
-  /// [1, shards]; workers == 1 degenerates to a plain serial loop with no
-  /// thread, atomic, or barrier anywhere on the path, so a single-worker
-  /// sharded run is bit-identical to — and as debuggable as — serial code.
-  ///
-  /// Phase contract (checked by fastcc-shardsafe at the call sites that
-  /// implement the callables): `shard_fn` is worker-phase code — it may
-  /// touch only FASTCC_SHARD_LOCAL state of the shard it was handed —
-  /// while `barrier_fn` is the single-threaded completion step, the only
-  /// place FASTCC_EPOCH_PUBLISH state may be written.
-  static void run(int shards, int workers,
-                  FASTCC_SHARD_LOCAL const ShardFn& shard_fn,
-                  FASTCC_EPOCH_PUBLISH const BarrierFn& barrier_fn);
-
-  /// Active-set protocol: like run(), but each epoch advances only the
-  /// shards listed in `active` — a shard whose next local event and
+  /// Active-set protocol.  Runs `barrier_fn` once on the calling thread
+  /// before any worker exists — it seeds `active` and whatever state the
+  /// shards read — and returns at once if that step returns false, so a
+  /// run with nothing to do never spawns a thread.  Otherwise each epoch
+  /// advances only the shards listed in `active`, then runs `barrier_fn`
+  /// again, until it returns false.  A shard whose next local event and
   /// inbound mailboxes both sit beyond the epoch horizon is simply never
-  /// claimed, so an idle shard costs nothing (no injection scan, no
-  /// simulator touch, no cache traffic).  `active`'s initial contents
-  /// drive the first epoch; `barrier_fn` rewrites the vector inside the
-  /// barrier for the next one (writing it anywhere else is a data race —
-  /// it is FASTCC_EPOCH_PUBLISH state).  The planner must keep the set
+  /// listed, so an idle shard costs nothing.  `barrier_fn` is the only
+  /// code that may rewrite `active`.  The planner must keep the set
   /// deterministic: membership may depend only on simulation state, never
   /// on the thread schedule, or worker counts stop being result-neutral.
-  /// `workers` is clamped to [1, max(1, shards)] where `shards` bounds the
-  /// worker pool size; an epoch with fewer active shards than workers just
-  /// parks the surplus at the barrier.
+  ///
+  /// `workers` is clamped to [1, shards]; workers == 1 degenerates to a
+  /// plain serial loop with no thread, atomic, or barrier anywhere on the
+  /// path, so a single-worker sharded run is bit-identical to — and as
+  /// debuggable as — serial code.  An epoch with fewer active shards than
+  /// workers just parks the surplus at the barrier.
   static void run_active(int shards, int workers,
-                         FASTCC_EPOCH_PUBLISH const std::vector<int>& active,
-                         FASTCC_SHARD_LOCAL const ShardFn& shard_fn,
-                         FASTCC_EPOCH_PUBLISH const BarrierFn& barrier_fn);
+                         const std::vector<int>& active,
+                         const ShardFn& shard_fn, const BarrierFn& barrier_fn);
 };
 
 }  // namespace fastcc::sim

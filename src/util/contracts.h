@@ -26,53 +26,8 @@
 //                    inspect the handle but ownership stays with the caller;
 //                    the callee must not release or retain it.
 //
-//   FASTCC_CONSUMES_XSHARD  on a PacketRef parameter: the callee consumes
-//                    the handle by serializing the packet *out of its pool*
-//                    for a cross-shard handoff (PacketPool::export_release).
-//                    The handle ends in the `transferred-cross-shard` state:
-//                    it is dead in this shard, and the bytes continue life
-//                    in another shard's pool under a new handle.
-//   FASTCC_XSHARD_SINK  on a function taking a serialized packet across a
-//                    shard boundary (a mailbox deposit).  fastcc-dataflow
-//                    requires every live PacketRef reaching a sink call to
-//                    be wrapped in a FASTCC_CONSUMES_XSHARD serialization —
-//                    a raw handle in a sink argument is a blocking
-//                    `raw-cross-shard-handoff` finding, because handles are
-//                    meaningless in the destination pool.
-//
 // Unannotated PacketRef parameters are treated as borrows; a body that
 // releases or transfers such a parameter is a contract violation.
-//
-// ---------------------------------------------------------------------------
-// Shard-affinity contracts (see DESIGN.md §10 "Shard-affinity contracts &
-// epoch-phase analysis").  The space-parallel runner is only correct if each
-// shard touches exclusively shard-owned state during an epoch and all
-// cross-shard traffic flows through the typed mailbox handoff.  These macros
-// declare that isolation discipline; `tools/fastcc-shardsafe` verifies it
-// statically (escape analysis + barrier-phase discipline), complementing the
-// schedule-dependent coverage TSan gives at runtime.
-//
-//   FASTCC_SHARD_LOCAL  on a field or class: the state belongs to exactly one
-//                    shard and may only be touched by the worker currently
-//                    running that shard (the "worker phase").  A pointer or
-//                    reference into shard-local state must never reach a
-//                    mailbox cell, a global, or another shard — only values
-//                    serialized through FASTCC_CONSUMES_XSHARD may cross.
-//                    On a method: the method runs in the worker phase.
-//   FASTCC_SHARD_SHARED_RO  on a field: built during (serial) setup, strictly
-//                    read-only during the run; every worker may read it
-//                    concurrently.  Any worker- or barrier-phase write is a
-//                    blocking finding.
-//   FASTCC_EPOCH_PUBLISH  on a field: written only inside the barrier
-//                    completion step (single-threaded, all workers parked),
-//                    relying on the barrier's release ordering for
-//                    visibility.  On a method: the method IS barrier
-//                    completion-step code.
-//   FASTCC_XSHARD_CHANNEL  on a class: the typed conduit for cross-shard
-//                    traffic (ShardMailboxes).  Its worker-phase methods
-//                    (deposit/drain side) must not be called from barrier
-//                    code and its publish-side methods must not be called
-//                    from worker code.
 //
 // ---------------------------------------------------------------------------
 // Unit-dimension contracts (see DESIGN.md §12 "Dimensional analysis").
@@ -103,12 +58,6 @@
 #define FASTCC_CONSUMES [[clang::annotate("fastcc::consumes")]]
 #define FASTCC_PRODUCES [[clang::annotate("fastcc::produces")]]
 #define FASTCC_BORROWS [[clang::annotate("fastcc::borrows")]]
-#define FASTCC_CONSUMES_XSHARD [[clang::annotate("fastcc::consumes_xshard")]]
-#define FASTCC_XSHARD_SINK [[clang::annotate("fastcc::xshard_sink")]]
-#define FASTCC_SHARD_LOCAL [[clang::annotate("fastcc::shard_local")]]
-#define FASTCC_SHARD_SHARED_RO [[clang::annotate("fastcc::shard_shared_ro")]]
-#define FASTCC_EPOCH_PUBLISH [[clang::annotate("fastcc::epoch_publish")]]
-#define FASTCC_XSHARD_CHANNEL [[clang::annotate("fastcc::xshard_channel")]]
 #define FASTCC_UNIT_NS [[clang::annotate("fastcc::unit_ns")]]
 #define FASTCC_UNIT_BPNS [[clang::annotate("fastcc::unit_bpns")]]
 #define FASTCC_UNIT_BYTES [[clang::annotate("fastcc::unit_bytes")]]
@@ -120,12 +69,6 @@
 #define FASTCC_CONSUMES
 #define FASTCC_PRODUCES
 #define FASTCC_BORROWS
-#define FASTCC_CONSUMES_XSHARD
-#define FASTCC_XSHARD_SINK
-#define FASTCC_SHARD_LOCAL
-#define FASTCC_SHARD_SHARED_RO
-#define FASTCC_EPOCH_PUBLISH
-#define FASTCC_XSHARD_CHANNEL
 #define FASTCC_UNIT_NS
 #define FASTCC_UNIT_BPNS
 #define FASTCC_UNIT_BYTES

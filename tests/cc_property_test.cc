@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <string>
 
 #include "cc/engine.h"
@@ -21,6 +22,12 @@ struct FuzzCase {
   const char* protocol;
   std::uint64_t seed;
 };
+
+// Without this gtest prints the raw bytes, protocol pointer included, and
+// the listed test names would change whenever the binary's layout does.
+void PrintTo(const FuzzCase& c, std::ostream* os) {
+  *os << c.protocol << '/' << c.seed;
+}
 
 class CcFuzz : public ::testing::TestWithParam<FuzzCase> {
  protected:

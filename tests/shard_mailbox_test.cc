@@ -2,20 +2,137 @@
 // ordering (nothing is visible to the reader before the barrier's
 // publish()), ascending-src drain order, the canonical
 // (arrival, src shard, seq) injection order the sharded runner sorts into,
-// and cell reuse across epochs.  These are the invariants fastcc-shardsafe
-// checks statically; this test pins them dynamically.
+// and cell reuse across epochs — plus the phase discipline itself: the
+// misuses below must not compile, and the executor must hand out its
+// barrier step before any worker step.
 #include "net/shard.h"
 
 #include <algorithm>
+#include <concepts>
+#include <functional>
+#include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "net/packet.h"
+#include "net/packet_pool.h"
+#include "sim/epoch.h"
 
 namespace fastcc::net {
 namespace {
+
+// ---- Misuse that must not compile ----------------------------------------
+// Each concept is a call the shard contracts forbid; a static_assert that
+// it is unsatisfiable keeps the compiler holding the contract.
+
+template <typename Phase>
+concept CanPublish = requires(ShardMailboxes& mb, const Phase& phase) {
+  mb.publish(phase);
+};
+template <typename Phase>
+concept CanReadHorizons = requires(const ShardMailboxes& mb,
+                                   const Phase& phase) {
+  mb.earliest_ready(0, phase);
+  mb.ready_release(0, 1, phase);
+};
+template <typename Phase>
+concept CanTakeReady = requires(ShardMailboxes& mb,
+                                std::vector<CrossShardPacket>& out,
+                                const Phase& phase) {
+  mb.take_ready(0, out, phase);
+};
+template <typename Payload>
+concept CanDeposit = requires(CrossShardSink& sink, Payload&& payload) {
+  sink.deposit(std::forward<Payload>(payload), sim::Time{0}, NodeId{0}, 0);
+};
+template <typename Mailboxes>
+concept CanPutDirectly = requires(Mailboxes& mb, CrossShardPacket&& rec) {
+  mb.put(0, 1, std::move(rec));
+};
+
+static_assert(CanPublish<sim::BarrierPhase> && !CanPublish<sim::WorkerPhase>,
+              "publish() belongs to the barrier step");
+static_assert(CanReadHorizons<sim::BarrierPhase> &&
+                  !CanReadHorizons<sim::WorkerPhase>,
+              "release horizons are read by the barrier-step planner only");
+static_assert(CanTakeReady<sim::WorkerPhase> &&
+                  !CanTakeReady<sim::BarrierPhase>,
+              "take_ready() belongs to the destination's worker");
+static_assert(CanDeposit<Packet> && !CanDeposit<PacketRef>,
+              "only serialized bytes cross a shard boundary, never a handle");
+static_assert(!CanPutDirectly<ShardMailboxes>,
+              "put() is reachable only through the source shard's router");
+static_assert(!std::default_initializable<sim::WorkerPhase> &&
+                  !std::default_initializable<sim::BarrierPhase>,
+              "only the epoch executor mints phase tokens");
+static_assert(!std::copy_constructible<sim::WorkerPhase> &&
+                  !std::copy_constructible<sim::BarrierPhase>,
+              "a phase token cannot be copied out of its phase");
+
+// ---- Driving the mailboxes through real phases ---------------------------
+// The phase-bound methods need the executor's tokens, so each helper runs
+// one step of a single-shard EpochCoordinator: a lone barrier step, or one
+// worker step after the seeding barrier step.
+
+const std::vector<int> kOnlyShard{0};
+
+void in_barrier(const std::function<void(const sim::BarrierPhase&)>& step) {
+  sim::EpochCoordinator::run_active(
+      1, 1, kOnlyShard, [](int, const sim::WorkerPhase&) {},
+      [&](const sim::BarrierPhase& phase) {
+        step(phase);
+        return false;
+      });
+}
+
+void in_worker(const std::function<void(const sim::WorkerPhase&)>& step) {
+  bool seeded = false;
+  sim::EpochCoordinator::run_active(
+      1, 1, kOnlyShard,
+      [&](int, const sim::WorkerPhase& phase) { step(phase); },
+      [&](const sim::BarrierPhase&) { return !std::exchange(seeded, true); });
+}
+
+void publish(ShardMailboxes& mb) {
+  in_barrier([&](const sim::BarrierPhase& phase) { mb.publish(phase); });
+}
+
+void take_ready(ShardMailboxes& mb, int dst,
+                std::vector<CrossShardPacket>& out) {
+  in_worker([&](const sim::WorkerPhase& phase) {
+    mb.take_ready(dst, out, phase);
+  });
+}
+
+sim::Time earliest_ready(const ShardMailboxes& mb, int dst) {
+  sim::Time t = 0;
+  in_barrier([&](const sim::BarrierPhase& phase) {
+    t = mb.earliest_ready(dst, phase);
+  });
+  return t;
+}
+
+sim::Time ready_release(const ShardMailboxes& mb, int src, int dst) {
+  sim::Time t = 0;
+  in_barrier([&](const sim::BarrierPhase& phase) {
+    t = mb.ready_release(src, dst, phase);
+  });
+  return t;
+}
+
+/// Deposits `rec` from shard `src` toward shard `dst` the only way the
+/// runner can: through src's ShardRouter (here node n lives on shard n).
+void put(ShardMailboxes& mb, int src, int dst, CrossShardPacket rec) {
+  ShardMap map;
+  map.count = mb.shards();
+  for (int s = 0; s < map.count; ++s) map.shard.push_back(s);
+  ShardRouter router(&mb, &map, src);
+  router.deposit(std::move(rec.pkt), rec.arrival, static_cast<NodeId>(dst),
+                 rec.dst_port);
+}
 
 CrossShardPacket make_rec(FlowId flow, sim::Time arrival) {
   CrossShardPacket rec;
@@ -37,15 +154,15 @@ TEST(ShardMailboxes, NothingVisibleBeforePublish) {
   ShardMailboxes mb(3);
   EXPECT_TRUE(mb.all_empty());
 
-  mb.put(0, 1, make_rec(10, 100));
+  put(mb, 0, 1, make_rec(10, 100));
   EXPECT_FALSE(mb.all_empty());
 
   std::vector<CrossShardPacket> inbox;
-  mb.take_ready(1, inbox);
+  take_ready(mb, 1, inbox);
   EXPECT_TRUE(inbox.empty()) << "pending transfers leaked past the barrier";
 
-  mb.publish();
-  mb.take_ready(1, inbox);
+  publish(mb);
+  take_ready(mb, 1, inbox);
   ASSERT_EQ(inbox.size(), 1u);
   EXPECT_EQ(inbox[0].pkt.flow, 10u);
   EXPECT_TRUE(mb.all_empty());
@@ -55,15 +172,15 @@ TEST(ShardMailboxes, SequenceNumbersArePerShardPair) {
   ShardMailboxes mb(3);
   // Interleave deposits to two destinations; each (src, dst) pair keeps its
   // own counter, so neither stream perturbs the other's stamps.
-  mb.put(0, 1, make_rec(1, 100));
-  mb.put(0, 2, make_rec(2, 100));
-  mb.put(0, 1, make_rec(3, 100));
-  mb.put(2, 1, make_rec(4, 100));
-  mb.put(0, 2, make_rec(5, 100));
-  mb.publish();
+  put(mb, 0, 1, make_rec(1, 100));
+  put(mb, 0, 2, make_rec(2, 100));
+  put(mb, 0, 1, make_rec(3, 100));
+  put(mb, 2, 1, make_rec(4, 100));
+  put(mb, 0, 2, make_rec(5, 100));
+  publish(mb);
 
   std::vector<CrossShardPacket> to1;
-  mb.take_ready(1, to1);
+  take_ready(mb, 1, to1);
   ASSERT_EQ(to1.size(), 3u);
   // Ascending src-shard order: src 0's cell first, then src 2's.
   EXPECT_EQ(flows_of(to1), (std::vector<FlowId>{1, 3, 4}));
@@ -74,7 +191,7 @@ TEST(ShardMailboxes, SequenceNumbersArePerShardPair) {
   EXPECT_EQ(to1[2].src_shard, 2);
 
   std::vector<CrossShardPacket> to2;
-  mb.take_ready(2, to2);
+  take_ready(mb, 2, to2);
   ASSERT_EQ(to2.size(), 2u);
   EXPECT_EQ(flows_of(to2), (std::vector<FlowId>{2, 5}));
   EXPECT_EQ(to2[0].seq, 0u);
@@ -87,15 +204,15 @@ TEST(ShardMailboxes, CanonicalInjectionOrderIsDeterministic) {
   // (arrival, src shard, seq) — the exact sort the sharded runner applies
   // before re-materializing (experiments/sharded.cc inject_inbox).
   ShardMailboxes mb(4);
-  mb.put(2, 0, make_rec(20, 500));
-  mb.put(2, 0, make_rec(21, 300));
-  mb.put(1, 0, make_rec(10, 500));
-  mb.put(3, 0, make_rec(30, 300));
-  mb.put(1, 0, make_rec(11, 300));
-  mb.publish();
+  put(mb, 2, 0, make_rec(20, 500));
+  put(mb, 2, 0, make_rec(21, 300));
+  put(mb, 1, 0, make_rec(10, 500));
+  put(mb, 3, 0, make_rec(30, 300));
+  put(mb, 1, 0, make_rec(11, 300));
+  publish(mb);
 
   std::vector<CrossShardPacket> inbox;
-  mb.take_ready(0, inbox);
+  take_ready(mb, 0, inbox);
   ASSERT_EQ(inbox.size(), 5u);
   std::sort(inbox.begin(), inbox.end(),
             [](const CrossShardPacket& a, const CrossShardPacket& b) {
@@ -111,10 +228,10 @@ TEST(ShardMailboxes, CellsAreReusedAcrossEpochs) {
   ShardMailboxes mb(2);
 
   // Epoch 1.
-  mb.put(0, 1, make_rec(1, 100));
-  mb.publish();
+  put(mb, 0, 1, make_rec(1, 100));
+  publish(mb);
   std::vector<CrossShardPacket> inbox;
-  mb.take_ready(1, inbox);
+  take_ready(mb, 1, inbox);
   ASSERT_EQ(inbox.size(), 1u);
   EXPECT_EQ(inbox[0].seq, 0u);
   EXPECT_TRUE(mb.all_empty());
@@ -123,13 +240,13 @@ TEST(ShardMailboxes, CellsAreReusedAcrossEpochs) {
   // ready cell must not replay epoch 1's records, and the pair's sequence
   // counter keeps counting (it is a lifetime transfer count, which is what
   // makes (arrival, src, seq) a total order across epochs).
-  mb.put(0, 1, make_rec(2, 200));
-  mb.put(0, 1, make_rec(3, 200));
+  put(mb, 0, 1, make_rec(2, 200));
+  put(mb, 0, 1, make_rec(3, 200));
   inbox.clear();
-  mb.take_ready(1, inbox);
+  take_ready(mb, 1, inbox);
   EXPECT_TRUE(inbox.empty()) << "epoch 2 pending visible before publish";
-  mb.publish();
-  mb.take_ready(1, inbox);
+  publish(mb);
+  take_ready(mb, 1, inbox);
   ASSERT_EQ(inbox.size(), 2u);
   EXPECT_EQ(flows_of(inbox), (std::vector<FlowId>{2, 3}));
   EXPECT_EQ(inbox[0].seq, 1u);
@@ -141,17 +258,17 @@ TEST(ShardMailboxes, CellsAreReusedAcrossEpochs) {
 
 TEST(ShardMailboxes, TotalTransfersCountsAllPairs) {
   ShardMailboxes mb(3);
-  mb.put(0, 1, make_rec(1, 10));
-  mb.put(1, 2, make_rec(2, 10));
-  mb.put(2, 0, make_rec(3, 10));
-  mb.put(0, 2, make_rec(4, 10));
+  put(mb, 0, 1, make_rec(1, 10));
+  put(mb, 1, 2, make_rec(2, 10));
+  put(mb, 2, 0, make_rec(3, 10));
+  put(mb, 0, 2, make_rec(4, 10));
   EXPECT_EQ(mb.total_transfers(), 4u);
-  mb.publish();
+  publish(mb);
   EXPECT_EQ(mb.total_transfers(), 4u);  // publish moves, never re-counts
   std::vector<CrossShardPacket> inbox;
   for (int d = 0; d < 3; ++d) {
     inbox.clear();
-    mb.take_ready(d, inbox);
+    take_ready(mb, d, inbox);
   }
   EXPECT_TRUE(mb.all_empty());
   EXPECT_EQ(mb.total_transfers(), 4u);
@@ -198,17 +315,17 @@ TEST(ShardMailboxes, ReleaseHorizonTracksEarliestUndrainedArrival) {
   // the min arrival over the published-but-undrained cells — and nothing
   // pending may leak into it before the barrier.
   ShardMailboxes mb(3);
-  EXPECT_EQ(mb.earliest_ready(1), sim::kMaxTime);
-  mb.put(0, 1, make_rec(1, 500));
-  mb.put(2, 1, make_rec(2, 300));
-  EXPECT_EQ(mb.earliest_ready(1), sim::kMaxTime)
+  EXPECT_EQ(earliest_ready(mb, 1), sim::kMaxTime);
+  put(mb, 0, 1, make_rec(1, 500));
+  put(mb, 2, 1, make_rec(2, 300));
+  EXPECT_EQ(earliest_ready(mb, 1), sim::kMaxTime)
       << "pending deposits visible to the planner before publish";
-  mb.publish();
-  EXPECT_EQ(mb.ready_release(0, 1), 500);
-  EXPECT_EQ(mb.ready_release(2, 1), 300);
-  EXPECT_EQ(mb.ready_release(1, 1), sim::kMaxTime);  // empty cell
-  EXPECT_EQ(mb.earliest_ready(1), 300);
-  EXPECT_EQ(mb.earliest_ready(0), sim::kMaxTime);
+  publish(mb);
+  EXPECT_EQ(ready_release(mb, 0, 1), 500);
+  EXPECT_EQ(ready_release(mb, 2, 1), 300);
+  EXPECT_EQ(ready_release(mb, 1, 1), sim::kMaxTime);  // empty cell
+  EXPECT_EQ(earliest_ready(mb, 1), 300);
+  EXPECT_EQ(earliest_ready(mb, 0), sim::kMaxTime);
 }
 
 TEST(ShardMailboxes, ReleaseHorizonSurvivesSkippedEpochs) {
@@ -217,26 +334,90 @@ TEST(ShardMailboxes, ReleaseHorizonSurvivesSkippedEpochs) {
   // transfers min-fold into it.  Only the owning reader's take_ready()
   // resets the cell.
   ShardMailboxes mb(2);
-  mb.put(0, 1, make_rec(1, 700));
-  mb.publish();
-  EXPECT_EQ(mb.earliest_ready(1), 700);
-  mb.publish();  // skipped epoch: nothing pending, horizon intact
-  EXPECT_EQ(mb.earliest_ready(1), 700);
-  mb.put(0, 1, make_rec(2, 400));
-  mb.publish();
-  EXPECT_EQ(mb.earliest_ready(1), 400);
+  put(mb, 0, 1, make_rec(1, 700));
+  publish(mb);
+  EXPECT_EQ(earliest_ready(mb, 1), 700);
+  publish(mb);  // skipped epoch: nothing pending, horizon intact
+  EXPECT_EQ(earliest_ready(mb, 1), 700);
+  put(mb, 0, 1, make_rec(2, 400));
+  publish(mb);
+  EXPECT_EQ(earliest_ready(mb, 1), 400);
   EXPECT_FALSE(mb.all_empty()) << "retained records must still count";
 
   std::vector<CrossShardPacket> inbox;
-  mb.take_ready(1, inbox);
+  take_ready(mb, 1, inbox);
   ASSERT_EQ(inbox.size(), 2u);
   EXPECT_EQ(flows_of(inbox), (std::vector<FlowId>{1, 2}));
-  EXPECT_EQ(mb.earliest_ready(1), sim::kMaxTime) << "drain must reset";
+  EXPECT_EQ(earliest_ready(mb, 1), sim::kMaxTime) << "drain must reset";
   EXPECT_TRUE(mb.all_empty());
-  mb.put(0, 1, make_rec(3, 900));
-  mb.publish();
-  EXPECT_EQ(mb.earliest_ready(1), 900) << "horizon re-derives after reuse";
+  put(mb, 0, 1, make_rec(3, 900));
+  publish(mb);
+  EXPECT_EQ(earliest_ready(mb, 1), 900) << "horizon re-derives after reuse";
 }
 
 }  // namespace
 }  // namespace fastcc::net
+
+namespace fastcc::sim {
+namespace {
+
+// The executor's ordering contract.  Each shard's call log is written only
+// by the worker running that shard and the barrier count only by the
+// barrier step, so the logs need no lock (the barrier orders them), and the
+// multi-worker case doubles as a TSan check.
+struct EpochLog {
+  explicit EpochLog(int shards) : calls(static_cast<std::size_t>(shards)) {}
+  int barriers = 0;
+  std::thread::id seeding_thread;
+  std::vector<std::vector<int>> calls;  ///< Per shard: barriers seen.
+};
+
+TEST(EpochCoordinator, SeedingBarrierRunsBeforeAnyShard) {
+  for (const int workers : {1, 4}) {
+    SCOPED_TRACE(workers);
+    EpochLog log(4);
+    std::vector<int> active;  // Empty until the seeding step plans it.
+    EpochCoordinator::run_active(
+        4, workers, active,
+        [&](int s, const WorkerPhase&) {
+          log.calls[static_cast<std::size_t>(s)].push_back(log.barriers);
+        },
+        [&](const BarrierPhase&) {
+          if (log.barriers++ == 0) {
+            log.seeding_thread = std::this_thread::get_id();
+            active = {0, 1, 2, 3};
+            return true;
+          }
+          return false;
+        });
+    EXPECT_EQ(log.barriers, 2);
+    EXPECT_EQ(log.seeding_thread, std::this_thread::get_id());
+    for (const std::vector<int>& calls : log.calls) {
+      EXPECT_EQ(calls, std::vector<int>{1}) << "one call, after the seed step";
+    }
+  }
+}
+
+TEST(EpochCoordinator, FalseSeedingBarrierRunsNoShard) {
+  for (const int workers : {1, 4}) {
+    SCOPED_TRACE(workers);
+    EpochLog log(4);
+    const std::vector<int> active{0, 1, 2, 3};
+    EpochCoordinator::run_active(
+        4, workers, active,
+        [&](int s, const WorkerPhase&) {
+          log.calls[static_cast<std::size_t>(s)].push_back(log.barriers);
+        },
+        [&](const BarrierPhase&) {
+          ++log.barriers;
+          return false;
+        });
+    EXPECT_EQ(log.barriers, 1);
+    for (const std::vector<int>& calls : log.calls) {
+      EXPECT_TRUE(calls.empty()) << "a shard ran after a false seeding step";
+    }
+  }
+}
+
+}  // namespace
+}  // namespace fastcc::sim

@@ -65,7 +65,7 @@ TEST(ShardedDatacenter, CrossShardHandoffLeakFree) {
   EXPECT_EQ(r.unfinished, 0u);
   EXPECT_TRUE(stats.drained);
   EXPECT_EQ(stats.shards, 8);
-  EXPECT_EQ(stats.lookahead, 1 * sim::kMicrosecond);
+  EXPECT_EQ(stats.lookahead_min, 1 * sim::kMicrosecond);
   // Hadoop traffic over 8 pods crosses boundaries constantly; a run where
   // nothing transferred would mean the boundary wiring silently fell back
   // to intra-shard delivery.
@@ -168,8 +168,7 @@ TEST(ShardedDatacenter, TorGranularityDrainsLeakFree) {
   EXPECT_TRUE(stats.drained);
   EXPECT_EQ(stats.shards, 16);
   // Homogeneous 1 us links: every pair of the closed matrix collapses to
-  // small multiples of the base delay, and the legacy quantum is its min.
-  EXPECT_EQ(stats.lookahead, 1 * sim::kMicrosecond);
+  // small multiples of the base delay, the smallest being one link.
   EXPECT_EQ(stats.lookahead_min, 1 * sim::kMicrosecond);
   EXPECT_GE(stats.lookahead_max, stats.lookahead_min);
   EXPECT_GT(stats.cross_shard_transfers, 1000u);

@@ -1,7 +1,7 @@
 """fastcc_cache: per-file content-hash result cache for the fastcc analyzers.
 
-CI runs fastcc-lint, fastcc-dataflow, and fastcc-shardsafe over the whole
-tree on every push; almost every file is unchanged from the previous run.
+CI runs fastcc-lint, fastcc-dataflow, and fastcc-units over the whole tree
+on every push; almost every file is unchanged from the previous run.
 This cache keys each file's findings by a digest of everything that could
 change the analysis verdict:
 
@@ -9,7 +9,7 @@ change the analysis verdict:
     changes so stale entries self-invalidate),
   * the analysis configuration (mode, selected checks),
   * a cross-file context digest (contract/annotation tables for the
-    dataflow/shardsafe tools, which read declarations tree-wide),
+    dataflow/units tools, which read declarations tree-wide),
   * the file's own bytes, and
   * for .cc files, the sibling header's bytes (fastcc-lint's
     unordered-iter check merges the header's container declarations).

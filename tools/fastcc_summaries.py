@@ -1,18 +1,18 @@
 """fastcc_summaries: bottom-up interprocedural call summaries.
 
-Shared by fastcc-dataflow and fastcc-shardsafe.  Both tools are
+Shared by fastcc-dataflow and fastcc-units.  Both tools are
 intraprocedural at heart — they re-derive everything inside one function
-body — and until now they learned about callees exclusively from declared
-contract macros.  This module adds the missing interprocedural layer: a
-bottom-up fixpoint over the (bare-name) call graph that derives, for every
-function *definition* in the analyzed set,
+body — and would otherwise learn about callees only from declared contract
+macros.  This module adds the missing interprocedural layer: a bottom-up
+fixpoint over the (bare-name) call graph that derives, for every function
+*definition* in the analyzed set,
 
   * which parameters are (transitively) consumed — passed bare into a
-    FASTCC_CONSUMES / FASTCC_CONSUMES_XSHARD position of some callee,
+    FASTCC_CONSUMES position of some callee,
   * which parameters are (transitively) PFC-discharged — passed bare into
     on_packet_departed()/consume() or into a callee that discharges them,
-  * the callee set (the call-graph edges fastcc-shardsafe propagates
-    worker/barrier phases along).
+  * how many definitions share each bare name (fastcc-units trusts
+    interprocedural dimensions only for unambiguous names).
 
 Soundness posture: the derived table is deliberately *under*-approximate.
 Effects only propagate through arguments that are syntactically bare
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 # Method names shared with standard-library containers (or otherwise so
 # generic that one bare name aliases many unrelated definitions).  Calls to
-# these never contribute call-graph edges or derived effects.
+# these never contribute derived effects.
 CALL_DENYLIST = frozenset({
     "push_back", "pop_back", "push_front", "pop_front", "push", "pop",
     "emplace", "emplace_back", "insert", "erase", "clear", "resize",
@@ -59,7 +59,7 @@ _CALL_HEAD_SKIP = frozenset({
 class Summary:
     """Everything derived for one bare function name."""
 
-    __slots__ = ("name", "defs", "param_lists", "calls", "callees",
+    __slots__ = ("name", "defs", "param_lists", "calls",
                  "consumes_params", "discharge_params")
 
     def __init__(self, name):
@@ -67,7 +67,6 @@ class Summary:
         self.defs = []           # [(path, line)] per definition
         self.param_lists = []    # [param-name list] per definition
         self.calls = []          # [(callee, (bare-arg-or-None, ...))]
-        self.callees = set()     # denylist-filtered call-graph edges
         self.consumes_params = set()
         self.discharge_params = set()
 
@@ -152,45 +151,6 @@ def _collect_calls(body_toks):
         yield t.text, tuple(_bare_name(a) for a in args)
 
 
-def collect_mutable_globals(tokens):
-    """name -> line for file-scope `static` variables that are neither
-    const, constexpr, nor constinit (internal linkage makes same-file
-    resolution exact; mirrors fastcc-lint's mutable-global detector)."""
-    out = {}
-    n = len(tokens)
-    for i, tok in enumerate(tokens):
-        if tok.kind != "id" or tok.text != "static":
-            continue
-        j = i + 1
-        qualifiers = set()
-        ident = None
-        depth = 0
-        while j < n:
-            t = tokens[j]
-            if t.text == "<":
-                depth += 1
-            elif t.text == ">":
-                depth -= 1
-            elif depth == 0:
-                if t.text in ("const", "constexpr", "constinit",
-                              "thread_local"):
-                    qualifiers.add(t.text)
-                elif t.text in (";", "{", "}", "="):
-                    break
-                elif t.text == "(":
-                    ident = None  # function declaration/definition
-                    break
-                elif t.kind == "id":
-                    ident = t
-            j += 1
-        if ident is None or j >= n:
-            continue
-        if tokens[j].text in ("=", ";", "{") and not (
-                qualifiers & {"const", "constexpr", "constinit"}):
-            out.setdefault(ident.text, ident.line)
-    return out
-
-
 def build_summaries(files, *, lex, extract_functions, contracts_table=None,
                     discharge_names=frozenset(),
                     call_denylist=CALL_DENYLIST):
@@ -215,17 +175,14 @@ def build_summaries(files, *, lex, extract_functions, contracts_table=None,
             s = sums.setdefault(name, Summary(name))
             s.defs.append((path, line))
             s.param_lists.append(_param_names(param_toks))
-            for callee, args in _collect_calls(body_toks):
-                s.calls.append((callee, args))
-                if callee not in call_denylist and callee != name:
-                    s.callees.add(callee)
+            s.calls.extend(_collect_calls(body_toks))
 
     def declared_consumes(name):
         entry = contracts_table.get(name)
         if not entry:
             return None
         return {idx for idx, k in entry.get("params", {}).items()
-                if k in ("consumes", "consumes-xshard")}
+                if k == "consumes"}
 
     def derivable(s):
         # Derived effects only for unambiguous definitions with no declared
@@ -289,6 +246,5 @@ def digest(sums):
     for name in sorted(sums):
         s = sums[name]
         items.append((name, len(s.defs),
-                      sorted(s.consumes_params), sorted(s.discharge_params),
-                      sorted(s.callees)))
+                      sorted(s.consumes_params), sorted(s.discharge_params)))
     return repr(items)

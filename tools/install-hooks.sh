@@ -17,7 +17,7 @@ hook_body() {
   cat <<'HOOK'
 #!/bin/sh
 # fastcc pre-commit hook (installed by tools/install-hooks.sh).
-# Runs the four fastcc analyzers on the staged src/ files; a finding
+# Runs the three fastcc analyzers on the staged src/ files; a finding
 # blocks the commit.  Bypass once with `git commit --no-verify`.
 set -u
 

@@ -173,22 +173,22 @@ class AnalyzeDriverCacheTest(unittest.TestCase):
     def test_per_analyzer_namespaces_are_independent(self):
         code, out = self.run_analyze()
         self.assertEqual(code, 0, out)
-        for tool in ("lint", "dataflow", "shardsafe", "units"):
+        for tool in ("lint", "dataflow", "units"):
             self.assertTrue(
                 os.path.isdir(os.path.join(self.cache_dir, tool)),
                 f"missing cache namespace for {tool}: {out}")
-        self.assertEqual(out.count("cache 0 hit(s) / 1 file(s)"), 4, out)
+        self.assertEqual(out.count("cache 0 hit(s) / 1 file(s)"), 3, out)
 
         code, out = self.run_analyze()
         self.assertEqual(code, 0, out)
-        self.assertEqual(out.count("cache 1 hit(s) / 1 file(s)"), 4, out)
+        self.assertEqual(out.count("cache 1 hit(s) / 1 file(s)"), 3, out)
 
         # Wiping the units namespace re-analyzes only units.
         shutil.rmtree(os.path.join(self.cache_dir, "units"))
         code, out = self.run_analyze()
         self.assertEqual(code, 0, out)
         self.assertIn("fastcc-units: 1 files, 0 finding(s)", out)
-        self.assertEqual(out.count("cache 1 hit(s) / 1 file(s)"), 3, out)
+        self.assertEqual(out.count("cache 1 hit(s) / 1 file(s)"), 2, out)
         self.assertEqual(out.count("cache 0 hit(s) / 1 file(s)"), 1, out)
 
 
