@@ -15,7 +15,6 @@
 #include "net/packet.h"
 #include "net/packet_pool.h"
 #include "sim/calendar_queue.h"
-#include "sim/event_queue.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
 #include "sim/timing_wheel.h"
@@ -26,19 +25,6 @@
 namespace {
 
 using namespace fastcc;
-
-void BM_EventQueueScheduleAndRun(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    sim::EventQueue q;
-    for (int i = 0; i < n; ++i) {
-      q.schedule((i * 7919) % 100000, [] {});
-    }
-    while (!q.empty()) q.pop_and_run();
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_EventQueueScheduleAndRun)->Arg(1024)->Arg(16384);
 
 void BM_CalendarQueueScheduleAndRun(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -55,11 +41,10 @@ BENCHMARK(BM_CalendarQueueScheduleAndRun)->Arg(1024)->Arg(16384);
 
 // Steady-state pattern closer to a running simulation: a rolling horizon of
 // events, each pop scheduling a successor a short bounded time ahead.
-template <typename Queue>
-void rolling_horizon(benchmark::State& state) {
+void BM_CalendarQueueRollingHorizon(benchmark::State& state) {
   const int population = 4096;
   for (auto _ : state) {
-    Queue q;
+    sim::CalendarQueue q;
     sim::Time now = 0;
     for (int i = 0; i < population; ++i) q.schedule(i % 500, [] {});
     for (int i = 0; i < 100'000; ++i) {
@@ -70,13 +55,6 @@ void rolling_horizon(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 100'000);
 }
-void BM_EventQueueRollingHorizon(benchmark::State& state) {
-  rolling_horizon<sim::EventQueue>(state);
-}
-void BM_CalendarQueueRollingHorizon(benchmark::State& state) {
-  rolling_horizon<sim::CalendarQueue>(state);
-}
-BENCHMARK(BM_EventQueueRollingHorizon)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CalendarQueueRollingHorizon)->Unit(benchmark::kMillisecond);
 
 // Rolling horizon with the simulator's *actual* hot closure shape: the
@@ -84,12 +62,11 @@ BENCHMARK(BM_CalendarQueueRollingHorizon)->Unit(benchmark::kMillisecond);
 // 4-byte handle, context pointer}, exactly what Port::start_tx schedules.
 // This is the workload the zero-copy pipeline targets: the event slot holds
 // 24 bytes instead of a ~330-byte Packet with its INT stack.
-template <typename Queue>
-void rolling_horizon_packet(benchmark::State& state) {
+void BM_CalendarQueueRollingHorizonPacket(benchmark::State& state) {
   const int population = 4096;
   std::uint64_t sink = 0;
   for (auto _ : state) {
-    Queue q;
+    sim::CalendarQueue q;
     sim::Time now = 0;
     net::PacketPool pool;
     const net::PacketRef ref = pool.alloc();
@@ -115,13 +92,6 @@ void rolling_horizon_packet(benchmark::State& state) {
   benchmark::DoNotOptimize(sink);
   state.SetItemsProcessed(state.iterations() * 100'000);
 }
-void BM_EventQueueRollingHorizonPacket(benchmark::State& state) {
-  rolling_horizon_packet<sim::EventQueue>(state);
-}
-void BM_CalendarQueueRollingHorizonPacket(benchmark::State& state) {
-  rolling_horizon_packet<sim::CalendarQueue>(state);
-}
-BENCHMARK(BM_EventQueueRollingHorizonPacket)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CalendarQueueRollingHorizonPacket)->Unit(benchmark::kMillisecond);
 
 // Cancel-heavy retransmit-timer pattern: every "ACK" event cancels the
@@ -129,11 +99,10 @@ BENCHMARK(BM_CalendarQueueRollingHorizonPacket)->Unit(benchmark::kMillisecond);
 // Host::handle_ack does per flow completion.  Stresses the cancellation
 // bookkeeping (formerly a hash set per schedule/pop, now a generation-
 // stamped slot table) and the lazy reclamation of tombstoned entries.
-template <typename Queue>
-void cancel_heavy(benchmark::State& state) {
+void BM_CalendarQueueCancelHeavy(benchmark::State& state) {
   const int flows = 256;
   for (auto _ : state) {
-    Queue q;
+    sim::CalendarQueue q;
     std::vector<std::uint64_t> rto_timer(flows);
     sim::Time now = 0;
     for (int f = 0; f < flows; ++f) {
@@ -153,13 +122,6 @@ void cancel_heavy(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 100'000);
 }
-void BM_EventQueueCancelHeavy(benchmark::State& state) {
-  cancel_heavy<sim::EventQueue>(state);
-}
-void BM_CalendarQueueCancelHeavy(benchmark::State& state) {
-  cancel_heavy<sim::CalendarQueue>(state);
-}
-BENCHMARK(BM_EventQueueCancelHeavy)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CalendarQueueCancelHeavy)->Unit(benchmark::kMillisecond);
 
 void BM_SimulatorSelfRescheduling(benchmark::State& state) {

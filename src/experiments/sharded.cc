@@ -354,6 +354,15 @@ DatacenterResult run_datacenter_sharded(const DatacenterConfig& config,
       stats_out->pool_peak.push_back(pool->peak_count());
       stats_out->pool_live_at_end.push_back(pool->live_count());
     }
+    stats_out->pfc_ingress_bytes_at_end = 0;
+    stats_out->paused_ports_at_end = 0;
+    for (net::NodeId id = 0; id < network.node_count(); ++id) {
+      const net::Node* n = network.node(id);
+      stats_out->pfc_ingress_bytes_at_end += n->pfc_ingress_bytes();
+      for (int i = 0; i < n->port_count(); ++i) {
+        if (n->port(i).paused()) ++stats_out->paused_ports_at_end;
+      }
+    }
   }
 
   if (loop.drained) {

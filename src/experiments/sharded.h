@@ -34,8 +34,8 @@
 
 namespace fastcc::exp {
 
-/// Observability for sharded runs: epoch/transfer counts for sanity checks
-/// and the per-shard pool figures the leak audit asserts on.
+/// Observability for sharded runs: epoch/transfer counts for sanity checks,
+/// and the end-of-run pool and PFC figures the drain audits assert on.
 struct ShardedRunStats {
   int shards = 1;
   int workers = 1;              ///< After clamping to [1, shards].
@@ -59,6 +59,12 @@ struct ShardedRunStats {
   bool drained = false;  ///< All queues and mailboxes empty at the end.
   std::vector<std::uint32_t> pool_peak;         ///< Per-shard high-water mark.
   std::vector<std::uint32_t> pool_live_at_end;  ///< 0 for every drained shard.
+  /// PFC audit at the end of the run, summed over every node: ingress bytes
+  /// still charged (Node::pfc_ingress_bytes) and egress ports still paused.
+  /// Both are 0 after a drain unless some path skipped on_packet_departed()
+  /// — a leak that pins an upstream port paused without stopping the run.
+  std::uint64_t pfc_ingress_bytes_at_end = 0;
+  int paused_ports_at_end = 0;
 };
 
 /// Runs `config` sharded at config.shard_granularity on `workers` threads

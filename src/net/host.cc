@@ -66,10 +66,10 @@ void Host::sync_rate_contribution(FlowIdx i) {
   }
 }
 
-void Host::receive(FASTCC_CONSUMES PacketRef ref, int in_port) {
+void Host::receive(PacketRef ref, int in_port) {
   (void)in_port;
   const Packet& p = packet_pool()->get(ref);
-  consume(p);  // release PFC ingress accounting: hosts sink packets
+  on_packet_departed(p);  // hosts sink packets: release PFC accounting
   switch (p.type) {
     case PacketType::kData:
       handle_data(p);
@@ -85,7 +85,7 @@ void Host::receive(FASTCC_CONSUMES PacketRef ref, int in_port) {
   packet_pool()->release(ref);
 }
 
-void Host::deliver_batch(FASTCC_CONSUMES PacketRef first, int in_port) {
+void Host::deliver_batch(PacketRef first, int in_port) {
   // One pass applies every packet's cheap per-ACK update; the expensive
   // follow-up (completion, rate-sum, CC-timer sync, window/pacing probe,
   // arbiter fix-up) then runs once per touched flow, in first-appearance
@@ -103,7 +103,7 @@ void Host::deliver_batch(FASTCC_CONSUMES PacketRef first, int in_port) {
     // PFC threshold crossings observable exactly as on the unbatched path).
     p.ingress_port = in_port;
     pfc_account(in_port, static_cast<std::int64_t>(p.wire_bytes));
-    consume(p);
+    on_packet_departed(p);
     switch (p.type) {
       case PacketType::kData:
         handle_data(p);
@@ -130,7 +130,7 @@ void Host::deliver_batch(FASTCC_CONSUMES PacketRef first, int in_port) {
   for (int t = 0; t < n_touched; ++t) {
     FlowTx* f = tx_flows_.find(touched[t]);
     if (f != nullptr && f->hot_idx != kInvalidFlowIdx) ack_finalize(*f);
-  }  // lint:allow(path-leak -- chain cursor: every link was released in the walk; the tail link is kInvalid)
+  }
 }
 
 void Host::handle_data(const Packet& p) {

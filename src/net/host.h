@@ -29,7 +29,6 @@
 #include "net/flow.h"
 #include "net/flow_slab.h"
 #include "net/node.h"
-#include "util/contracts.h"
 #include "util/ordered_map.h"
 
 namespace fastcc::net {
@@ -85,10 +84,10 @@ class Host : public Node {
   /// Batched arrival: one pass over the chain applies every ACK's hot-state
   /// update, then each touched flow gets exactly one completion / pacing /
   /// arbiter follow-up.
-  void deliver_batch(FASTCC_CONSUMES PacketRef first, int in_port) override;
+  void deliver_batch(PacketRef first, int in_port) override;
 
  protected:
-  void receive(FASTCC_CONSUMES PacketRef ref, int in_port) override;
+  void receive(PacketRef ref, int in_port) override;
 
  private:
   void handle_data(const Packet& p);

@@ -32,7 +32,7 @@ void Node::rebind_shard(sim::Simulator& simulator, PacketPool* pool) {
   for (auto& p : ports_) p->rebind_simulator(simulator);
 }
 
-void Node::deliver(FASTCC_CONSUMES PacketRef ref, int in_port) {
+void Node::deliver(PacketRef ref, int in_port) {
   assert(in_port >= 0 && in_port < port_count());
   assert(pool_ != nullptr && "node has no packet pool bound");
   Packet& p = pool_->get(ref);
@@ -44,7 +44,6 @@ void Node::deliver(FASTCC_CONSUMES PacketRef ref, int in_port) {
     // PFC control frames bypass queues and are never ingress-accounted —
     // pfc_account() runs only on the data/ACK path below this branch — so
     // there is no accounting to discharge before recycling the slot.
-    // lint:allow(unbalanced-pfc -- PFC frames are never ingress-accounted)
     pool_->release(ref);
     return;
   }
@@ -57,7 +56,7 @@ void Node::deliver(FASTCC_CONSUMES PacketRef ref, int in_port) {
   }
 }
 
-void Node::deliver_batch(FASTCC_CONSUMES PacketRef first, int in_port) {
+void Node::deliver_batch(PacketRef first, int in_port) {
   while (first.valid()) {
     // Read the link *before* deliver(): the callee may forward or release
     // the packet, recycling the slot (and with it batch_next).
@@ -68,7 +67,7 @@ void Node::deliver_batch(FASTCC_CONSUMES PacketRef first, int in_port) {
     if (next.valid()) pool_->prefetch(next);
     deliver(first, in_port);
     first = next;
-  }  // lint:allow(path-leak -- chain cursor: every link was transferred to deliver; the tail link is kInvalid)
+  }
 }
 
 void Node::on_packet_departed(const Packet& p) {
@@ -77,10 +76,10 @@ void Node::on_packet_departed(const Packet& p) {
   }
 }
 
-void Node::consume(const Packet& p) {
-  if (p.ingress_port >= 0) {
-    pfc_account(p.ingress_port, -static_cast<std::int64_t>(p.wire_bytes));
-  }
+std::uint64_t Node::pfc_ingress_bytes() const {
+  std::uint64_t total = 0;
+  for (const std::uint64_t b : ingress_bytes_) total += b;
+  return total;
 }
 
 void Node::pfc_account(int in_port, std::int64_t delta_bytes) {

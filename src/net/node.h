@@ -17,7 +17,6 @@
 #include "net/port.h"
 #include "sim/simulator.h"
 #include "sim/timing_wheel.h"
-#include "util/contracts.h"
 
 namespace fastcc::net {
 
@@ -64,7 +63,7 @@ class Node {
   /// Entry point for packets arriving off the wire.  `in_port` is the index
   /// of this node's reverse-direction port for the arrival link.  Worker
   /// phase: runs only on the thread currently advancing this node's shard.
-  void deliver(FASTCC_CONSUMES PacketRef ref, int in_port);
+  void deliver(PacketRef ref, int in_port);
 
   /// Batched arrival: `first` heads an intra-burst chain linked through
   /// Packet::batch_next, all transmitted back-to-back on the same link and
@@ -72,7 +71,7 @@ class Node {
   /// interrupt coalescing: causal, never early).  The base implementation
   /// simply walks the chain through deliver(); Host overrides it to
   /// coalesce the chain's ACKs into a single per-flow CC / arbiter pass.
-  virtual void deliver_batch(FASTCC_CONSUMES PacketRef first, int in_port);
+  virtual void deliver_batch(PacketRef first, int in_port);
 
   /// True when this node wants chained deliver_batch() arrivals.  Ports
   /// consult the *peer* node: switches keep exact per-packet arrival events
@@ -89,10 +88,15 @@ class Node {
   /// exactly per-packet while PFC is actively throttling an upstream.
   bool any_ingress_paused() const { return paused_ingress_count_ > 0; }
 
-  /// Called by a Port when a packet starts serialization (or dies in a tail
-  /// drop) and thus leaves the node's buffer: releases the PFC ingress
-  /// accounting.
+  /// Called when a packet leaves the node's buffer — a Port starting its
+  /// serialization or tail-dropping it, a host sinking it — and releases
+  /// its PFC ingress accounting.
   void on_packet_departed(const Packet& p);
+
+  /// Bytes still charged to this node's PFC ingress counters, summed over
+  /// ingress ports.  A drained run must end at zero: every charged byte is
+  /// discharged by on_packet_departed() exactly once.
+  std::uint64_t pfc_ingress_bytes() const;
 
   sim::Simulator& simulator() { return *sim_; }
 
@@ -104,16 +108,13 @@ class Node {
  protected:
   /// Subclass packet handling (forwarding for switches, host protocol).
   /// The callee owns the handle: forward it or release it.  Worker phase.
-  virtual void receive(FASTCC_CONSUMES PacketRef ref, int in_port) = 0;
+  virtual void receive(PacketRef ref, int in_port) = 0;
 
   /// Set once by SwitchNode's constructor: deliver() dispatches forwarding
   /// statically (a predictable branch) instead of through the vtable — the
   /// majority of deliveries in a multi-hop fabric land on switches, and the
   /// indirect call's target otherwise alternates per event.
   void mark_as_switch() { is_switch_ = true; }
-
-  /// Consumes a packet at this node (hosts): releases PFC accounting.
-  void consume(const Packet& p);
 
   /// Ingress PFC accounting (exposed to Host's deliver_batch override,
   /// which replays deliver()'s accounting per chained packet).

@@ -19,14 +19,17 @@
 // exactly 4096 release/alloc cycles of one slot.  A stale handle hoarded
 // across a full wrap becomes indistinguishable from the slot's current
 // incarnation and the generation check silently passes (see
-// PacketPool.GenerationWrapsAfter4096Cycles).  In practice a handle's
-// lifetime is one pipeline traversal — a few simulated microseconds — while
-// a wrap needs 4096 reuses of the same slot, so the check loses none of its
-// power against real bugs; the static fastcc-dataflow analysis covers the
-// pathological hoarding case.  Storage
-// is chunked (fixed-size arrays, never reallocated), so Packet& references
-// obtained from get() stay valid across alloc() growth — e.g. a host may
-// hold the received data packet while allocating its ACK.
+// PacketPool.GenerationWrapsAfter4096Cycles).  Nothing covers that window:
+// catching it would need a wider generation or a per-handle shadow.  It is
+// harmless in practice because no code stores a handle across events except
+// inside the pipeline itself (port rings, burst chains, delivery closures),
+// where a handle lives for one traversal — a few simulated microseconds —
+// while a wrap needs 4096 reuses of the same slot.  A handle leaked out of
+// the pipeline instead shows up as a nonzero live_count() at the end of a
+// drained run.  Storage is chunked (fixed-size arrays, never reallocated),
+// so Packet& references obtained from get() stay valid across alloc()
+// growth — e.g. a host may hold the received data packet while allocating
+// its ACK.
 #pragma once
 
 #include <cassert>
@@ -35,7 +38,6 @@
 #include <vector>
 
 #include "net/packet.h"
-#include "util/contracts.h"
 
 namespace fastcc::net {
 
@@ -80,7 +82,7 @@ class PacketPool {
   /// packet's header fields.  The INT array is deliberately *not* cleared:
   /// records at index >= int_count are never read, so recycling skips the
   /// 256-byte wipe that dominated the old by-value packet path.
-  FASTCC_PRODUCES PacketRef alloc() {
+  PacketRef alloc() {
     if (free_.empty()) add_chunk();
     const std::uint32_t slot = free_.back();
     free_.pop_back();
@@ -93,13 +95,13 @@ class PacketPool {
 
   /// Resolves a handle.  The reference stays valid until release(): chunked
   /// storage never moves slots, so nested alloc() calls cannot dangle it.
-  Packet& get(FASTCC_BORROWS PacketRef ref) {
+  Packet& get(PacketRef ref) {
     Slot& s = slot_at(ref.slot());
     assert(ref.valid() && s.gen == ref.gen() &&
            "stale PacketRef: packet was already released");
     return s.pkt;
   }
-  const Packet& get(FASTCC_BORROWS PacketRef ref) const {
+  const Packet& get(PacketRef ref) const {
     const Slot& s = slot_at(ref.slot());
     assert(ref.valid() && s.gen == ref.gen() &&
            "stale PacketRef: packet was already released");
@@ -108,7 +110,7 @@ class PacketPool {
 
   /// Returns the slot to the freelist and invalidates every outstanding
   /// handle to it by bumping the generation.
-  void release(FASTCC_CONSUMES PacketRef ref) {
+  void release(PacketRef ref) {
     Slot& s = slot_at(ref.slot());
     assert(ref.valid() && s.gen == ref.gen() &&
            "double release of a PacketRef");
@@ -133,7 +135,7 @@ class PacketPool {
   /// the bytes and retires the handle (slot to the freelist, generation
   /// bumped, exactly as release()).  The returned value is what crosses the
   /// mailbox; the destination shard re-materializes it via import_packet().
-  Packet export_release(FASTCC_CONSUMES PacketRef ref) {
+  Packet export_release(PacketRef ref) {
     Packet out = get(ref);
     release(ref);
     return out;
@@ -142,7 +144,7 @@ class PacketPool {
   /// Re-materializes a packet that arrived from another shard's pool:
   /// allocates a fresh slot here and copies the bytes in.  The new handle
   /// is this pool's own — generation checking starts over.
-  FASTCC_PRODUCES PacketRef import_packet(const Packet& p) {
+  PacketRef import_packet(const Packet& p) {
     const PacketRef ref = alloc();
     get(ref) = p;
     return ref;
@@ -161,8 +163,6 @@ class PacketPool {
   /// Packets currently allocated (leak check: a drained simulation must end
   /// at zero).
   std::uint32_t live_count() const { return live_; }
-  /// Legacy spelling of live_count(), kept for existing call sites.
-  std::uint32_t live() const { return live_; }
   /// High-water mark of concurrently live packets over the pool's lifetime
   /// (exact, unlike capacity() which rounds up to the chunk size) — the
   /// per-shard memory figure the space-parallel leak audit reports.
@@ -216,18 +216,18 @@ class PacketRing {
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
 
-  void push_back(FASTCC_CONSUMES PacketRef ref) {
+  void push_back(PacketRef ref) {
     if (size_ == buf_.size()) grow();
     buf_[(head_ + size_) & (buf_.size() - 1)] = ref;
     ++size_;
   }
 
-  /// Peeks the head handle.  Declared FASTCC_PRODUCES because the idiomatic
-  /// use is `ref = front(); pop_front();` — the caller assumes ownership of
-  /// the returned handle and the ring forgets it.  (A front() not paired
-  /// with pop_front() duplicates ownership; intraprocedural analysis cannot
-  /// see that, so the pairing is a convention this comment documents.)
-  FASTCC_PRODUCES PacketRef front() const {
+  /// Peeks the head handle.  The idiomatic use is `ref = front();
+  /// pop_front();` — the caller assumes ownership of the returned handle and
+  /// the ring forgets it.  A front() not paired with pop_front() duplicates
+  /// ownership; the pool's generation asserts catch the second get() or
+  /// release() of that handle.
+  PacketRef front() const {
     assert(size_ > 0);
     return buf_[head_];
   }

@@ -18,7 +18,7 @@ struct BurstChain {
   sim::Time arrival = 0;
   int count = 0;
 
-  void chain_take(FASTCC_CONSUMES PacketRef ref, Packet& p, sim::Time at) {
+  void chain_take(PacketRef ref, Packet& p, sim::Time at) {
     if (count == 0) {
       head = ref;
     } else {
@@ -26,7 +26,6 @@ struct BurstChain {
     }
     tail = &p;
     arrival = at;
-    // lint:allow(path-leak -- ownership moved into the chain: the handle stays reachable via head/batch_next)
     ++count;
   }
 };
@@ -46,7 +45,7 @@ void Port::connect(Node* peer, int peer_port, sim::Rate bandwidth,
   prop_delay_ = propagation_delay;
 }
 
-void Port::enqueue(FASTCC_CONSUMES PacketRef ref) {
+void Port::enqueue(PacketRef ref) {
   assert(connected() && "enqueue on unconnected port");
   assert(pool_ != nullptr && "port has no packet pool bound");
   Packet& p = pool_->get(ref);

@@ -63,7 +63,7 @@ class Port {
   /// RED marking and buffer accounting, then kicks the transmitter.  On a
   /// tail drop the packet's PFC ingress accounting is released and the
   /// handle returned to the pool.
-  void enqueue(FASTCC_CONSUMES PacketRef ref);
+  void enqueue(PacketRef ref);
 
   /// Convenience overload (tests, standalone tools): copies the packet into
   /// a fresh pool slot, then enqueues the handle.

@@ -52,14 +52,14 @@ int SwitchNode::select_port(NodeId dst, FlowId flow, NodeId src) const {
   return candidates[pick];
 }
 
-void SwitchNode::forward(FASTCC_CONSUMES PacketRef ref, int in_port) {
+void SwitchNode::forward(PacketRef ref, int in_port) {
   (void)in_port;
   const Packet& p = packet_pool()->get(ref);
   const int out = select_port(p.dst, p.flow, p.src);
   port(out).enqueue(ref);
 }
 
-void SwitchNode::receive(FASTCC_CONSUMES PacketRef ref, int in_port) {
+void SwitchNode::receive(PacketRef ref, int in_port) {
   forward(ref, in_port);
 }
 

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "net/node.h"
-#include "util/contracts.h"
 
 namespace fastcc::net {
 
@@ -31,10 +30,10 @@ class SwitchNode : public Node {
   const std::vector<int>& routes(NodeId dst) const;
 
   /// Forwarding body, reachable without a vtable hop (see Node::deliver).
-  void forward(FASTCC_CONSUMES PacketRef ref, int in_port);
+  void forward(PacketRef ref, int in_port);
 
  protected:
-  void receive(FASTCC_CONSUMES PacketRef ref, int in_port) override;
+  void receive(PacketRef ref, int in_port) override;
 
  private:
   /// Built by Network::build_routes() before the run; read-only afterwards

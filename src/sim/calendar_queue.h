@@ -3,12 +3,12 @@
 // Discrete-event network simulations schedule most events a short, bounded
 // distance into the future (serialization times, propagation delays, pacing
 // gaps), which is exactly the access pattern calendar queues exploit: events
-// hash into "day" buckets by timestamp.  The API matches sim::EventQueue, so
-// a simulation can swap schedulers by type alias; equivalence is enforced by
-// property tests.  The bucket count doubles/halves as the population grows/
+// hash into "day" buckets by timestamp.  Events at equal timestamps pop in
+// insertion order; property tests pin the pop sequence to a sorted
+// reference.  The bucket count doubles/halves as the population grows/
 // shrinks, and the bucket width is recalibrated from the observed inter-event
-// spacing on each resize.  Cancellation shares EventQueue's generation-
-// stamped slot pool, which also owns the callbacks, so buckets hold only
+// spacing on each resize.  Cancellation uses a generation-stamped slot pool
+// (EventSlotPool), which also owns the callbacks, so buckets hold only
 // 24-byte entries and schedule/pop never touch a hash set.
 //
 // Popping batch-extracts one day at a time.  A scan that locates the

@@ -1,11 +1,11 @@
 // EventSlotPool: generation-stamped event storage and cancellation.
 //
-// Both event queue implementations formerly kept an unordered_set of pending
-// ids purely so that rare cancellations could be answered later — two hash
-// operations on every schedule/pop — and carried the (type-erased) callback
-// inside every heap/bucket entry, so each sift or bucket compaction moved it.
-// This pool fixes both: callbacks live in a flat slot array and the queues
-// order only 24-byte {time, seq, handle} entries.  A handle encodes
+// The event queue once kept an unordered_set of pending ids purely so that
+// rare cancellations could be answered later — two hash operations on every
+// schedule/pop — and carried the (type-erased) callback inside every bucket
+// entry, so each bucket compaction moved it.  This pool fixes both:
+// callbacks live in a flat slot array and the queue orders only 24-byte
+// {time, seq, handle} entries.  A handle encodes
 // (generation << 32 | slot); schedule grabs a slot from a freelist, cancel
 // flips a bit and eagerly destroys the callback, pop checks the bit, and
 // releasing a slot bumps its generation so stale handles from already-fired

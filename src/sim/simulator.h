@@ -11,21 +11,20 @@
 #include <utility>
 
 #include "sim/calendar_queue.h"
-#include "sim/event_queue.h"
 #include "sim/time.h"
 
 namespace fastcc::sim {
 
+/// Opaque handle identifying a scheduled event; usable for cancellation.
+/// Encodes a slot index plus a generation stamp — see EventSlotPool.
+using EventId = CalendarQueue::Id;
+
 class Simulator {
  public:
-  /// Event-queue backend.  Both implementations are property-tested to pop
-  /// identical (time, FIFO) sequences, so swapping this alias cannot change
-  /// simulation results — only wall-clock speed.  The calendar queue's O(1)
-  /// schedule/pop wins on the bounded-horizon pattern simulations produce
-  /// (~1.9x on the rolling-horizon microbenchmark vs the 4-ary heap); its
-  /// historical weakness — bimodal near-term-packet / far-future-RTO time
-  /// mixes collapsing the bucket-width calibration — is fixed by the
-  /// median-gap estimator in CalendarQueue::rebuild.
+  /// The event queue: a calendar queue, whose O(1) schedule/pop suits the
+  /// bounded-horizon pattern simulations produce.  Its (time, FIFO) pop
+  /// order is property-tested against a sorted reference
+  /// (tests/calendar_queue_test.cc).
   using Queue = CalendarQueue;
   using Callback = Queue::Callback;
 

@@ -1,36 +1,5 @@
-// Ownership contract annotations for pool-handle APIs.
-//
-// The zero-copy packet pipeline threads 4-byte PacketRef handles through
-// multi-branch drop/PFC/ECN logic; its correctness rests entirely on
-// ownership discipline (alloc once, transfer or release exactly once, never
-// touch a handle after giving it up).  These macros declare that discipline
-// at the API boundary so that one source of truth serves three readers:
-//
-//   * humans, who see the contract in the signature,
-//   * `tools/fastcc-dataflow`, whose token-mode parser reads the macro names
-//     directly from headers and checks every call site and every definition
-//     body against the declared contract,
-//   * clang tooling, because under clang the macros expand to
-//     [[clang::annotate]] attributes that survive into the AST.
-//
-// Semantics (see DESIGN.md §6 "Ownership contracts & dataflow analysis"):
-//
-//   FASTCC_CONSUMES  on a PacketRef parameter: the callee assumes ownership.
-//                    After the call the caller's handle is dead — any
-//                    further get()/release()/re-transfer is a
-//                    use-after-release.
-//   FASTCC_PRODUCES  on a function returning PacketRef: the caller receives
-//                    ownership of a live handle and must transfer or release
-//                    it on every path to return (else: path-leak).
-//   FASTCC_BORROWS   on a PacketRef parameter: the callee may resolve or
-//                    inspect the handle but ownership stays with the caller;
-//                    the callee must not release or retain it.
-//
-// Unannotated PacketRef parameters are treated as borrows; a body that
-// releases or transfers such a parameter is a contract violation.
-//
-// ---------------------------------------------------------------------------
 // Unit-dimension contracts (see DESIGN.md §12 "Dimensional analysis").
+//
 // `sim::Time` and `sim::Rate` are bare arithmetic aliases, so a field or
 // parameter declared `double`/`std::uint64_t` carries its physical unit only
 // in its name.  These macros make the unit machine-readable;
@@ -55,9 +24,6 @@
 #pragma once
 
 #if defined(__clang__)
-#define FASTCC_CONSUMES [[clang::annotate("fastcc::consumes")]]
-#define FASTCC_PRODUCES [[clang::annotate("fastcc::produces")]]
-#define FASTCC_BORROWS [[clang::annotate("fastcc::borrows")]]
 #define FASTCC_UNIT_NS [[clang::annotate("fastcc::unit_ns")]]
 #define FASTCC_UNIT_BPNS [[clang::annotate("fastcc::unit_bpns")]]
 #define FASTCC_UNIT_BYTES [[clang::annotate("fastcc::unit_bytes")]]
@@ -66,9 +32,6 @@
 // GCC warns on unknown scoped attributes (-Wattributes); the token-mode
 // analyzer keys on the macro *names* in source, so expanding to nothing
 // loses no information outside clang-based tooling.
-#define FASTCC_CONSUMES
-#define FASTCC_PRODUCES
-#define FASTCC_BORROWS
 #define FASTCC_UNIT_NS
 #define FASTCC_UNIT_BPNS
 #define FASTCC_UNIT_BYTES

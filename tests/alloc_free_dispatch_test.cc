@@ -18,7 +18,6 @@
 #include "net/packet.h"
 #include "net/packet_pool.h"
 #include "sim/calendar_queue.h"
-#include "sim/event_queue.h"
 #include "sim/simulator.h"
 #include "test_util.h"
 #include "topo/fat_tree.h"
@@ -59,11 +58,10 @@ namespace {
 // Rolling-horizon schedule/pop cycles with handle-shaped closures: exactly
 // what Port::start_tx schedules per hop — a pool pointer plus a 4-byte
 // PacketRef, not the 280-byte Packet itself.  Warm-up lets every internal
-// vector (heap, slots, freelist, buckets) reach its steady-state capacity;
-// after that, not one allocation is allowed.
-template <typename Queue>
-void expect_steady_state_alloc_free() {
-  Queue q;
+// vector (slots, freelist, buckets) reach its steady-state capacity; after
+// that, not one allocation is allowed.
+TEST(AllocFreeDispatch, CalendarQueueSteadyStatePacketClosures) {
+  sim::CalendarQueue q;
   net::PacketPool pool;
   const net::PacketRef ref = pool.alloc();
   net::init_data(pool.get(ref), /*flow=*/1, /*src=*/0, /*dst=*/1, /*seq=*/7,
@@ -98,15 +96,7 @@ void expect_steady_state_alloc_free() {
   while (!q.empty()) q.pop_and_run();
   EXPECT_GT(sink, 0u);
   pool.release(ref);
-  EXPECT_EQ(pool.live(), 0u);
-}
-
-TEST(AllocFreeDispatch, EventQueueSteadyStatePacketClosures) {
-  expect_steady_state_alloc_free<sim::EventQueue>();
-}
-
-TEST(AllocFreeDispatch, CalendarQueueSteadyStatePacketClosures) {
-  expect_steady_state_alloc_free<sim::CalendarQueue>();
+  EXPECT_EQ(pool.live_count(), 0u);
 }
 
 // End-to-end through the Simulator run loop: a fleet of self-rescheduling
@@ -182,7 +172,7 @@ TEST(AllocFreeDispatch, FatTreeSteadyStateZeroAllocations) {
   }
 
   simulator.run(/*until=*/300 * sim::kMicrosecond);  // warm-up
-  ASSERT_GT(network.packet_pool().live(), 0u) << "flows are not in flight";
+  ASSERT_GT(network.packet_pool().live_count(), 0u) << "flows are not in flight";
 
   const std::size_t before = g_news;
   simulator.run(/*until=*/900 * sim::kMicrosecond);
@@ -274,7 +264,7 @@ TEST(AllocFreeDispatch, PacketPoolDrainsToZeroLiveHandles) {
     ASSERT_NE(f, nullptr);
     EXPECT_TRUE(f->finished());
   }
-  EXPECT_EQ(network.packet_pool().live(), 0u)
+  EXPECT_EQ(network.packet_pool().live_count(), 0u)
       << "a packet handle was never released";
   EXPECT_GT(network.packet_pool().capacity(), 0u);
 }

@@ -1,16 +1,72 @@
-// CalendarQueue: functional tests plus randomized equivalence against the
-// binary-heap EventQueue (both must pop identical sequences).
+// CalendarQueue: functional tests plus randomized equivalence against a
+// sorted reference queue (both must pop identical sequences).
 #include "sim/calendar_queue.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <set>
+#include <utility>
 #include <vector>
 
-#include "sim/event_queue.h"
 #include "sim/random.h"
 
 namespace fastcc::sim {
 namespace {
+
+// The test oracle: pending events ordered by (time, insertion sequence), so
+// equal timestamps pop FIFO; cancel is an erase, so cancelling a fired,
+// cancelled, or unknown id reports false.  Ids are insertion sequences.
+class SortedReference {
+ public:
+  using Id = std::uint64_t;
+
+  Id schedule(Time at) {
+    const Id id = at_.size();
+    at_.push_back(at);
+    pending_.emplace(at, id);
+    return id;
+  }
+  bool cancel(Id id) {
+    return id < at_.size() && pending_.erase({at_[id], id}) == 1;
+  }
+  bool empty() const { return pending_.empty(); }
+  std::size_t size() const { return pending_.size(); }
+  /// Removes the earliest event; returns (its time, its id).
+  std::pair<Time, Id> pop() {
+    const auto head = *pending_.begin();
+    pending_.erase(pending_.begin());
+    return head;
+  }
+
+ private:
+  std::set<std::pair<Time, Id>> pending_;
+  std::vector<Time> at_;  // schedule time by id
+};
+
+// Schedules one event at `at` in both queues.  The calendar event's
+// callback records the reference id, so a pop can be checked for identity
+// (which event fired), not just for its timestamp.
+std::pair<CalendarQueue::Id, SortedReference::Id> schedule_both(
+    CalendarQueue& cal, SortedReference& ref, Time at,
+    SortedReference::Id* fired) {
+  const SortedReference::Id id = ref.schedule(at);
+  return {cal.schedule(at, [fired, id] { *fired = id; }), id};
+}
+
+// Pops the head of both queues and checks they agree on time and identity.
+// Returns the popped time.
+Time pop_both(CalendarQueue& cal, SortedReference& ref,
+              const SortedReference::Id* fired) {
+  if (ref.empty()) {
+    ADD_FAILURE() << "the reference ran dry before the calendar queue";
+    return cal.pop_and_run();
+  }
+  const auto [at, id] = ref.pop();
+  EXPECT_EQ(cal.pop_and_run(), at);
+  EXPECT_EQ(*fired, id) << "a different event fired at " << at;
+  return at;
+}
 
 TEST(CalendarQueue, PopsInTimeOrder) {
   CalendarQueue q;
@@ -32,7 +88,7 @@ TEST(CalendarQueue, FifoTieBreakOnEqualTimestamps) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
 }
 
-TEST(CalendarQueue, CancelSemanticsMatchEventQueue) {
+TEST(CalendarQueue, CancelOfFiredCancelledOrUnknownIdIsNoOp) {
   CalendarQueue q;
   const auto id = q.schedule(5, [] {});
   EXPECT_TRUE(q.cancel(id));
@@ -42,6 +98,21 @@ TEST(CalendarQueue, CancelSemanticsMatchEventQueue) {
   const auto id2 = q.schedule(7, [] {});
   q.pop_and_run();
   EXPECT_FALSE(q.cancel(id2));   // cancel after fire
+}
+
+TEST(CalendarQueue, CancelledHeadIsSkipped) {
+  CalendarQueue q;
+  std::vector<int> order;
+  const auto first = q.schedule(10, [&] { order.push_back(1); });
+  q.schedule(20, [&] { order.push_back(2); });
+  EXPECT_EQ(q.next_time(), 10);
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_TRUE(q.cancel(first));
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.next_time(), 20);
+  EXPECT_EQ(q.pop_and_run(), 20);
+  EXPECT_EQ(order, std::vector<int>{2});
+  EXPECT_TRUE(q.empty());
 }
 
 TEST(CalendarQueue, ResizesThroughGrowthAndShrink) {
@@ -67,89 +138,75 @@ TEST(CalendarQueue, SparseFarFutureEventsFoundViaFallback) {
   EXPECT_TRUE(ran);
 }
 
-TEST(CalendarQueue, RandomizedEquivalenceWithEventQueue) {
-  // Identical schedule/cancel sequences must pop identical (time, tag)
-  // streams from both implementations.
+TEST(CalendarQueue, RandomizedEquivalenceWithSortedReference) {
+  // Identical schedule/cancel sequences must pop identical (time, event)
+  // streams from the calendar queue and the sorted reference.
   Rng rng(1234);
   for (int round = 0; round < 5; ++round) {
     CalendarQueue cal(16, 50);
-    EventQueue heap;
-    std::vector<Time> cal_order, heap_order;
-    std::vector<std::pair<CalendarQueue::Id, EventId>> ids;
+    SortedReference ref;
+    SortedReference::Id fired = 0;
+    std::vector<std::pair<CalendarQueue::Id, SortedReference::Id>> ids;
 
     Time clock = 0;
     for (int i = 0; i < 2000; ++i) {
       const int op = static_cast<int>(rng.uniform_int(0, 9));
       if (op < 7 || ids.empty()) {
         const Time at = clock + rng.uniform_int(0, 5000);
-        ids.emplace_back(cal.schedule(at, [] {}), heap.schedule(at, [] {}));
+        ids.push_back(schedule_both(cal, ref, at, &fired));
       } else if (op == 7 && !ids.empty()) {
         const auto idx = static_cast<std::size_t>(
             rng.uniform_int(0, static_cast<std::int64_t>(ids.size()) - 1));
         const bool a = cal.cancel(ids[idx].first);
-        const bool b = heap.cancel(ids[idx].second);
+        const bool b = ref.cancel(ids[idx].second);
         EXPECT_EQ(a, b);
       } else if (!cal.empty()) {
-        ASSERT_FALSE(heap.empty());
-        const Time tc = cal.pop_and_run();
-        const Time th = heap.pop_and_run();
-        EXPECT_EQ(tc, th);
-        clock = tc;
+        clock = pop_both(cal, ref, &fired);
       }
     }
-    while (!cal.empty()) {
-      ASSERT_FALSE(heap.empty());
-      cal_order.push_back(cal.pop_and_run());
-      heap_order.push_back(heap.pop_and_run());
-    }
-    EXPECT_TRUE(heap.empty());
-    EXPECT_EQ(cal_order, heap_order);
+    EXPECT_EQ(cal.size(), ref.size());
+    while (!cal.empty()) pop_both(cal, ref, &fired);
+    EXPECT_TRUE(ref.empty());
   }
 }
 
-TEST(CalendarQueue, CancelHeavyEquivalenceWithEventQueue) {
+TEST(CalendarQueue, CancelHeavyEquivalenceWithSortedReference) {
   // Retransmit-timer torture: high cancellation rate with immediate
   // re-arming, the pattern that stresses lazy tombstone reclamation in the
   // calendar buckets and slot reuse in the pool.  Both queues must agree on
-  // every pop time and every cancel outcome.
+  // every pop (time and event) and every cancel outcome; a slot-reuse bug
+  // would fire the wrong callback or resurrect a cancelled one.
   Rng rng(99);
   for (int round = 0; round < 3; ++round) {
     CalendarQueue cal(16, 50);
-    EventQueue heap;
-    std::vector<std::pair<CalendarQueue::Id, EventId>> timers;
+    SortedReference ref;
+    SortedReference::Id fired = 0;
+    std::vector<std::pair<CalendarQueue::Id, SortedReference::Id>> timers;
     Time clock = 0;
     int pops = 0;
     for (int i = 0; i < 3000; ++i) {
       const int op = static_cast<int>(rng.uniform_int(0, 9));
       if (op < 4 || timers.empty()) {
         const Time at = clock + 1 + rng.uniform_int(0, 200);
-        timers.emplace_back(cal.schedule(at, [] {}),
-                            heap.schedule(at, [] {}));
+        timers.push_back(schedule_both(cal, ref, at, &fired));
       } else if (op < 8) {
         // Cancel a random timer and immediately re-arm it far out — the
         // cancel-heavy half of the workload.
         const auto idx = static_cast<std::size_t>(rng.uniform_int(
             0, static_cast<std::int64_t>(timers.size()) - 1));
         const bool a = cal.cancel(timers[idx].first);
-        const bool b = heap.cancel(timers[idx].second);
+        const bool b = ref.cancel(timers[idx].second);
         ASSERT_EQ(a, b) << "cancel outcome diverged at op " << i;
         const Time at = clock + 10'000 + rng.uniform_int(0, 500);
-        timers[idx] = {cal.schedule(at, [] {}), heap.schedule(at, [] {})};
+        timers[idx] = schedule_both(cal, ref, at, &fired);
       } else if (!cal.empty()) {
-        ASSERT_FALSE(heap.empty());
-        const Time tc = cal.pop_and_run();
-        const Time th = heap.pop_and_run();
-        ASSERT_EQ(tc, th) << "pop order diverged at op " << i;
-        clock = tc;
+        clock = pop_both(cal, ref, &fired);
         ++pops;
       }
     }
-    EXPECT_EQ(cal.size(), heap.size());
-    while (!cal.empty()) {
-      ASSERT_FALSE(heap.empty());
-      ASSERT_EQ(cal.pop_and_run(), heap.pop_and_run());
-    }
-    EXPECT_TRUE(heap.empty());
+    EXPECT_EQ(cal.size(), ref.size());
+    while (!cal.empty()) pop_both(cal, ref, &fired);
+    EXPECT_TRUE(ref.empty());
     EXPECT_GT(pops, 0);
   }
 }

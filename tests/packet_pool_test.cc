@@ -13,16 +13,34 @@ namespace {
 
 TEST(PacketPool, AllocResetsHeaderAndTracksLiveCount) {
   PacketPool pool;
-  EXPECT_EQ(pool.live(), 0u);
+  EXPECT_EQ(pool.live_count(), 0u);
   const PacketRef ref = pool.alloc();
-  EXPECT_EQ(pool.live(), 1u);
+  EXPECT_EQ(pool.live_count(), 1u);
   Packet& p = pool.get(ref);
   EXPECT_EQ(p.type, PacketType::kData);
   EXPECT_EQ(p.int_count, 0);
   EXPECT_EQ(p.ingress_port, -1);
   EXPECT_EQ(p.wire_bytes, 0u);
   pool.release(ref);
-  EXPECT_EQ(pool.live(), 0u);
+  EXPECT_EQ(pool.live_count(), 0u);
+}
+
+// The run-time check that holds packet ownership: a handle used after
+// release() or released twice dies on the pool's generation asserts (the
+// Debug and sanitizer legs), instead of silently reading or recycling a
+// slot that now belongs to another packet.  The threadsafe style re-executes
+// the binary for each death, so the check also runs under TSan.
+TEST(PacketPool, StaleHandleAndDoubleReleaseAssert) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "the generation checks are asserts, compiled out by NDEBUG";
+#else
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  PacketPool pool;
+  const PacketRef ref = pool.alloc();
+  pool.release(ref);
+  EXPECT_DEATH(pool.get(ref), "stale PacketRef");
+  EXPECT_DEATH(pool.release(ref), "double release");
+#endif
 }
 
 TEST(PacketPool, RecycledSlotComesBackWithCleanHeader) {
@@ -72,7 +90,7 @@ TEST(PacketPool, ReferencesStayValidAcrossGrowth) {
   EXPECT_EQ(pool.get(anchor).seq, 0xdeadbeefu);
   for (const PacketRef r : refs) pool.release(r);
   pool.release(anchor);
-  EXPECT_EQ(pool.live(), 0u);
+  EXPECT_EQ(pool.live_count(), 0u);
   EXPECT_GE(pool.capacity(), 5001u);
 }
 
@@ -114,7 +132,7 @@ TEST(PacketPool, GenerationWrapsAfter4096Cycles) {
   EXPECT_EQ(reincarnated, hoarded);
   EXPECT_TRUE(pool.is_current(hoarded));
   pool.release(reincarnated);
-  EXPECT_EQ(pool.live(), 0u);
+  EXPECT_EQ(pool.live_count(), 0u);
 }
 
 TEST(PacketPool, IsCurrentRejectsInvalidAndOutOfRangeHandles) {

@@ -98,7 +98,7 @@ TEST(Pfc, TailDropReleasesIngressAccountingSoResumeIsSent) {
             static_cast<std::size_t>(burst));
   EXPECT_FALSE(c.source.port(0).paused());
   // Dropped packets were returned to the pool, not leaked.
-  EXPECT_EQ(c.pool.live(), 0u);
+  EXPECT_EQ(c.pool.live_count(), 0u);
 }
 
 TEST(Pfc, ThroughputUnaffectedWhenUncongested) {

@@ -3,12 +3,14 @@
 // The contract under test: run_datacenter_sharded() is a pure function of
 // (config) — the worker count changes wall-clock only, never a single byte
 // of the result — and a fully drained run leaves every shard's packet pool
-// empty even though packets hop between pools at every pod boundary.
+// empty even though packets hop between pools at every pod boundary, with
+// no PFC ingress byte still charged and no port still paused.
 #include "experiments/sharded.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 
 #include "workload/distributions.h"
 
@@ -24,6 +26,16 @@ DatacenterConfig sharded_config() {
   c.generate_duration = 100 * sim::kMicrosecond;
   c.seed = 7;
   return c;
+}
+
+// The drained-run PFC audit: every byte charged to a PFC ingress counter
+// was discharged (on_packet_departed) exactly once, and no egress port is
+// left paused.  A path that skips the discharge leaves bytes charged even
+// when every flow finishes and every pool drains.
+void expect_pfc_balanced(const ShardedRunStats& stats) {
+  EXPECT_TRUE(stats.drained);
+  EXPECT_EQ(stats.pfc_ingress_bytes_at_end, 0u);
+  EXPECT_EQ(stats.paused_ports_at_end, 0);
 }
 
 // Every observable, bit for bit — per-flow timings included.
@@ -110,18 +122,44 @@ TEST(ShardedDatacenter, MatchesSerialFlowPopulation) {
   EXPECT_NEAR(sharded_mean, serial_mean, 0.25 * serial_mean);
 }
 
-// RED marking draws randomness at switch ports, and DCQCN enables PFC —
-// both cross shard boundaries here (per-shard Rng streams; pause/resume
-// frames through the mailboxes).  The invariance contract must survive
-// that too.
-TEST(ShardedDatacenter, RedAndPfcVariantStaysDeterministic) {
+// DCQCN with RED and PFC on the sharded test fabric at load 0.8.  This
+// config really pauses, so the PFC audit is not vacuous: a probe build
+// counted 61 pauses per run at pod grain and 58 at rack grain, and with one
+// ACK in 20,000 skipping on_packet_departed() it still finished every flow
+// and drained every pool, but left 768 (pod) and 1,088 (rack) bytes charged.
+DatacenterConfig pfc_config() {
   DatacenterConfig c = sharded_config();
   c.variant = Variant::kDcqcn;
   c.load = 0.8;
-  const DatacenterResult r1 = run_datacenter_sharded(c, 1);
-  const DatacenterResult r8 = run_datacenter_sharded(c, 8);
+  return c;
+}
+
+// RED marking draws randomness at switch ports, and DCQCN enables PFC —
+// both cross shard boundaries here (per-shard Rng streams; pause/resume
+// frames through the mailboxes).  The invariance contract must survive
+// that too, and both runs must end with PFC accounting balanced.
+TEST(ShardedDatacenter, RedAndPfcVariantStaysDeterministic) {
+  ShardedRunStats s1;
+  ShardedRunStats s8;
+  const DatacenterResult r1 = run_datacenter_sharded(pfc_config(), 1, &s1);
+  const DatacenterResult r8 = run_datacenter_sharded(pfc_config(), 8, &s8);
   ASSERT_GT(r1.flows.size(), 0u);
   expect_identical(r1, r8);
+  expect_pfc_balanced(s1);
+  expect_pfc_balanced(s8);
+}
+
+// The PFC audit at rack grain, where pause/resume frames cross the ToR-agg
+// shard boundaries as well as the pod edges.
+TEST(ShardedDatacenter, TorDcqcnDrainsWithPfcBalanced) {
+  DatacenterConfig c = pfc_config();
+  c.shard_granularity = topo::ShardGranularity::kTor;
+  ShardedRunStats stats;
+  const DatacenterResult r = run_datacenter_sharded(c, 4, &stats);
+  EXPECT_EQ(r.unfinished, 0u);
+  EXPECT_EQ(stats.shards, 16);
+  expect_pfc_balanced(stats);
+  for (const std::uint32_t live : stats.pool_live_at_end) EXPECT_EQ(live, 0u);
 }
 
 // TSan target: maximum barrier contention — more workers than cores, many

@@ -35,7 +35,7 @@ class SinkNode : public net::Node {
  protected:
   void receive(net::PacketRef ref, int in_port) override {
     const net::Packet& p = packet_pool()->get(ref);
-    consume(p);
+    on_packet_departed(p);
     arrivals_.push_back(Arrival{p, sim_->now(), in_port});
     packet_pool()->release(ref);
   }

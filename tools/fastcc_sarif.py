@@ -1,8 +1,7 @@
 """fastcc_sarif: SARIF 2.1.0 emission shared by the fastcc analyzers.
 
-All three in-house tools (fastcc-lint, fastcc-dataflow, fastcc-units)
-produce the same finding shape — (path, line, check-id, message) — so one
-emitter serves them all.  The output targets GitHub code scanning via
+Both in-house tools (fastcc-lint, fastcc-units) produce the same finding
+shape — (path, line, check-id, message) — so one emitter serves both.  The output targets GitHub code scanning via
 `github/codeql-action/upload-sarif`, which renders each result as an inline
 annotation on the PR diff.
 

@@ -2,10 +2,9 @@
 # install-hooks.sh: installs the fastcc git pre-commit hook.
 #
 # The hook runs `tools/fastcc-analyze` over the staged src/ files (plus the
-# tree-wide declaration context the interprocedural analyzers always read),
-# reusing the shared `.fastcc-cache/` result cache, so a warm run costs about
-# as long as one analyzer's context build.  A finding blocks the commit; fix
-# it or add a reasoned `// lint:allow(check -- reason)` and restage.
+# tree-wide declaration context fastcc-units always reads), about a second
+# for the whole tree.  A finding blocks the commit; fix it or add a reasoned
+# `// lint:allow(check -- reason)` and restage.
 # Bypass a single commit with `git commit --no-verify`.
 #
 # Usage: tools/install-hooks.sh [--dry-run]
@@ -17,7 +16,7 @@ hook_body() {
   cat <<'HOOK'
 #!/bin/sh
 # fastcc pre-commit hook (installed by tools/install-hooks.sh).
-# Runs the three fastcc analyzers on the staged src/ files; a finding
+# Runs the two fastcc analyzers on the staged src/ files; a finding
 # blocks the commit.  Bypass once with `git commit --no-verify`.
 set -u
 
@@ -33,7 +32,7 @@ done
 [ -z "$files" ] && exit 0
 
 # shellcheck disable=SC2086  # word-splitting $files is intended
-exec python3 "$root/tools/fastcc-analyze" --jobs 0 $files
+exec python3 "$root/tools/fastcc-analyze" $files
 HOOK
 }
 
