@@ -11,9 +11,8 @@
 // an escape hatch: tests and out-of-tree extensions can still install a
 // heap-allocated virtual controller (FixedCc, instrumentation probes), and
 // conversion from unique_ptr is implicit so existing call sites assign as
-// before.  In-tree protocols must use the sealed alternatives — the
-// virtual-hot-path lint check enforces that no unique_ptr controller creeps
-// back into the hot path (this file is the single allowlisted exception).
+// before.  In-tree protocols must use the sealed alternatives, and the
+// static_assert at the end of this file keeps them non-virtual.
 #pragma once
 
 #include <cstdint>
@@ -153,5 +152,13 @@ class CcEngine {
 static_assert(std::is_move_constructible_v<CcEngine> &&
                   std::is_move_assignable_v<CcEngine>,
               "flow tables move FlowTx (and its engine) on growth");
+
+// A virtual member in an in-tree engine would put a vtable load back on the
+// per-ACK path that the variant's direct calls exist to avoid.
+static_assert(!std::is_polymorphic_v<Hpcc> && !std::is_polymorphic_v<Swift> &&
+                  !std::is_polymorphic_v<Dcqcn> &&
+                  !std::is_polymorphic_v<Dctcp> &&
+                  !std::is_polymorphic_v<Timely>,
+              "in-tree engines are dispatched statically: no virtual members");
 
 }  // namespace fastcc::cc

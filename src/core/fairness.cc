@@ -15,22 +15,4 @@ double jain_index(std::span<const double> allocations) {
   return (sum * sum) / (n * sum_sq);
 }
 
-double JainSampler::sample(sim::Time window_start, sim::Time now) {
-  std::vector<double> throughput;
-  throughput.reserve(flows_.size());
-  for (std::size_t i = 0; i < flows_.size(); ++i) {
-    const net::FlowTx& f = *flows_[i];
-    const std::uint64_t acked = f.cum_acked;
-    const std::uint64_t delta = acked - last_acked_[i];
-    last_acked_[i] = acked;
-    const bool started = f.spec.start_time <= now;
-    const bool finished_before_window =
-        f.finished() && f.finish_time < window_start;
-    if (!started || finished_before_window) continue;
-    throughput.push_back(static_cast<double>(delta));
-  }
-  if (throughput.empty()) return -1.0;
-  return jain_index(throughput);
-}
-
 }  // namespace fastcc::core

@@ -1,19 +1,14 @@
-// Jain fairness index and windowed per-flow throughput sampling.
+// Jain fairness index.
 //
 // The paper plots Jain's index over time during incast: at each sample the
 // index is computed over the *delivered* throughput of every flow that was
 // active in the window (bytes cumulatively acked during the window / window
 // length).  Using delivered bytes rather than the sender's configured rate
 // keeps the metric protocol-agnostic (ack-clocked Swift has no explicit
-// rate).
+// rate).  `run_incast` does that sampling; this header holds the index.
 #pragma once
 
-#include <cstdint>
 #include <span>
-#include <vector>
-
-#include "net/flow.h"
-#include "sim/time.h"
 
 namespace fastcc::core {
 
@@ -21,23 +16,5 @@ namespace fastcc::core {
 /// perfectly equal allocation.  Zero-valued entries count toward n.
 /// Returns 1.0 for empty or all-zero input (vacuously fair).
 double jain_index(std::span<const double> allocations);
-
-/// Samples throughput of a fixed set of flows over consecutive windows.
-class JainSampler {
- public:
-  /// `flows` must outlive the sampler.
-  explicit JainSampler(std::vector<const net::FlowTx*> flows)
-      : flows_(std::move(flows)), last_acked_(flows_.size(), 0) {}
-
-  /// Computes the Jain index over throughput since the previous sample.
-  /// Flows are included if they were active at any point in the window
-  /// (started before `now` and not finished before the window began).
-  /// Returns -1 when no flow was active (caller usually skips the point).
-  double sample(sim::Time window_start, sim::Time now);
-
- private:
-  std::vector<const net::FlowTx*> flows_;
-  std::vector<std::uint64_t> last_acked_;
-};
 
 }  // namespace fastcc::core

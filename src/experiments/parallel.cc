@@ -43,13 +43,4 @@ std::vector<IncastResult> run_incast_parallel(
   return results;
 }
 
-std::vector<DatacenterResult> run_datacenter_parallel(
-    const std::vector<DatacenterConfig>& configs, unsigned max_threads) {
-  std::vector<DatacenterResult> results(configs.size());
-  parallel_for_index(configs.size(), max_threads, [&](std::size_t i) {
-    results[i] = run_datacenter(configs[i]);
-  });
-  return results;
-}
-
 }  // namespace fastcc::exp

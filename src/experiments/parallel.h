@@ -11,7 +11,6 @@
 #include <thread>
 #include <vector>
 
-#include "experiments/datacenter.h"
 #include "experiments/incast.h"
 
 namespace fastcc::exp {
@@ -22,10 +21,7 @@ namespace fastcc::exp {
 std::vector<IncastResult> run_incast_parallel(
     const std::vector<IncastConfig>& configs, unsigned max_threads = 0);
 
-std::vector<DatacenterResult> run_datacenter_parallel(
-    const std::vector<DatacenterConfig>& configs, unsigned max_threads = 0);
-
-/// Generic fan-out used by the two wrappers: applies `fn` to indices
+/// Generic fan-out used by run_incast_parallel: applies `fn` to indices
 /// [0, count) on the pool.  `fn` runs on worker threads: it may touch only
 /// state owned by its index, never shared mutable state.
 void parallel_for_index(std::size_t count, unsigned max_threads,

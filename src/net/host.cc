@@ -37,14 +37,6 @@ const FlowTx* Host::flow(FlowId fid) const {
   return f;
 }
 
-FlowTx* Host::mutable_flow(FlowId fid) {
-  FlowTx* f = tx_flows_.find(fid);
-  if (f != nullptr && f->hot_idx != kInvalidFlowIdx) {
-    slab_.write_back(f->hot_idx, *f);
-  }
-  return f;
-}
-
 sim::Rate Host::total_send_rate_recomputed() const {
   // Flows are visited in start order (insertion order), so this double
   // accumulation is reproducible run to run.  Unfinished flows read their

@@ -63,10 +63,6 @@ class Host : public Node {
   /// slab's current hot values are written back into the record first, so
   /// mid-run queries (progress sampling) observe live state.
   const FlowTx* flow(FlowId id) const;
-  /// Mutable variant (tests).  The same write-back applies; mutating *hot*
-  /// fields of an unfinished flow through the record is not supported — the
-  /// slab copy is authoritative until the flow finishes.
-  FlowTx* mutable_flow(FlowId id);
   std::size_t active_flow_count() const { return active_flows_; }
 
   /// Sum of current pacing rates of unfinished flows (fairness sampling).

@@ -4,30 +4,6 @@
 
 namespace fastcc::net {
 
-QueueMonitor::QueueMonitor(sim::Simulator& simulator, const Port& port,
-                           sim::Time interval, std::string label,
-                           std::function<bool()> keep_running)
-    : sim_(simulator),
-      port_(port),
-      interval_(interval),
-      series_(std::move(label)),
-      keep_running_(std::move(keep_running)) {}
-
-void QueueMonitor::arm_next() {
-  if (wheel_ != nullptr) {
-    wheel_->arm(sim_.now() + interval_, [this] { sample(); });
-  } else {
-    sim_.after(interval_, [this] { sample(); });
-  }
-}
-
-void QueueMonitor::start() { arm_next(); }
-
-void QueueMonitor::sample() {
-  series_.add(sim_.now(), static_cast<double>(port_.data_queue_bytes()));
-  if (keep_running_ == nullptr || keep_running_()) arm_next();
-}
-
 UtilizationMonitor::UtilizationMonitor(sim::Simulator& simulator,
                                        const Port& port, sim::Time interval,
                                        std::string label,

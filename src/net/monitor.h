@@ -1,7 +1,7 @@
-// Periodic network monitors: queue-depth and link-utilization sampling.
+// Periodic link-utilization sampling.
 //
-// Experiments attach monitors to ports of interest; each monitor re-arms
-// itself on the simulator until stopped (or until its stop predicate fires),
+// Experiments attach a monitor to a port of interest; it re-arms itself on
+// the simulator until stopped (or until its stop predicate fires),
 // accumulating a TimeSeries that the stats/bench layers consume.
 #pragma once
 
@@ -17,39 +17,12 @@
 
 namespace fastcc::net {
 
-/// Samples the data backlog of one egress port on a fixed interval.
-class QueueMonitor {
- public:
-  /// `keep_running` is consulted each sample; returning false stops the
-  /// monitor (and no further events are scheduled).
-  QueueMonitor(sim::Simulator& simulator, const Port& port,
-               sim::Time interval, std::string label,
-               std::function<bool()> keep_running = nullptr);
-
-  void start();
-  const stats::TimeSeries& series() const { return series_; }
-
-  /// Routes the periodic re-arm through a node's timing wheel (usually the
-  /// monitored port's owner), keeping the sampler off the global event
-  /// queue.  Call before start().
-  void ride_wheel(sim::WheelScheduler* wheel) { wheel_ = wheel; }
-
- private:
-  void sample();
-  void arm_next();
-
-  sim::Simulator& sim_;
-  const Port& port_;
-  sim::Time interval_;
-  stats::TimeSeries series_;
-  std::function<bool()> keep_running_;
-  sim::WheelScheduler* wheel_ = nullptr;
-};
-
 /// Samples the delivered throughput (bytes/ns) of one egress port per
 /// interval, from the port's cumulative tx counter.
 class UtilizationMonitor {
  public:
+  /// `keep_running` is consulted each sample; returning false stops the
+  /// monitor (and no further events are scheduled).
   UtilizationMonitor(sim::Simulator& simulator, const Port& port,
                      sim::Time interval, std::string label,
                      std::function<bool()> keep_running = nullptr);
@@ -60,7 +33,9 @@ class UtilizationMonitor {
   /// Mean utilization across all samples so far.
   FASTCC_DIMENSIONLESS double mean_utilization() const;
 
-  /// See QueueMonitor::ride_wheel.
+  /// Routes the periodic re-arm through a node's timing wheel (usually the
+  /// monitored port's owner), keeping the sampler off the global event
+  /// queue.  Call before start().
   void ride_wheel(sim::WheelScheduler* wheel) { wheel_ = wheel; }
 
  private:

@@ -129,9 +129,6 @@ class Port {
   int index() const { return index_; }
   bool connected() const { return peer_ != nullptr; }
 
-  /// Clears max-queue statistics (between experiment phases).
-  void reset_stats() { max_queued_bytes_ = queued_bytes_; }
-
  private:
   void maybe_start_tx();
   void start_tx();

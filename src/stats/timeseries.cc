@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <ostream>
 
 namespace fastcc::stats {
 
@@ -46,24 +45,6 @@ sim::Time TimeSeries::settle_time(double threshold) const {
     }
   }
   return settled;
-}
-
-void write_csv(std::ostream& os, const std::vector<const TimeSeries*>& series,
-               const std::string& time_unit_divisor_label,
-               double time_divisor) {
-  if (series.empty()) return;
-  os << time_unit_divisor_label;
-  for (const TimeSeries* s : series) os << ',' << s->label();
-  os << '\n';
-  const std::size_t rows = series.front()->size();
-  for (std::size_t i = 0; i < rows; ++i) {
-    os << static_cast<double>(series.front()->points()[i].t) / time_divisor;
-    for (const TimeSeries* s : series) {
-      os << ',';
-      if (i < s->size()) os << s->points()[i].value;
-    }
-    os << '\n';
-  }
 }
 
 }  // namespace fastcc::stats

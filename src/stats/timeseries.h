@@ -1,8 +1,7 @@
-// Lightweight (time, value) series with CSV emission, used for the paper's
-// Jain-index-over-time and queue-depth-over-time figures.
+// Lightweight (time, value) series, used for the paper's Jain-index-over-time
+// and queue-depth-over-time figures.
 #pragma once
 
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -38,12 +37,5 @@ class TimeSeries {
   std::string label_;
   std::vector<TimePoint> points_;
 };
-
-/// Writes aligned multi-series CSV: time column plus one column per series.
-/// Series are sampled on identical clocks in our experiments; rows are
-/// emitted per distinct timestamp of the first series.
-void write_csv(std::ostream& os, const std::vector<const TimeSeries*>& series,
-               const std::string& time_unit_divisor_label = "time_us",
-               double time_divisor = 1000.0);
 
 }  // namespace fastcc::stats

@@ -1,10 +1,17 @@
-// Datacenter golden: pins the exact output of both datacenter runners on a
-// small preset-flow fat-tree run.  Each result is folded into one FNV-1a
-// digest over every flow record field plus events_executed, end_time and
-// drops; the expected digests are frozen constants, so any change to the
-// set-up path, the epoch executor or the mailboxes that moves a single
-// event shows up here.  A sharded digest must also be the same for 1 and 4
+// Runner goldens: pin the exact output of both datacenter runners on a
+// small preset-flow fat-tree run, and of the incast runner on a star.  Each
+// result is folded into one FNV-1a digest over every flow record field plus
+// events_executed, end_time and drops (and, for incast, every point of the
+// Jain, queue and utilization series); the expected digests are frozen
+// constants, so any change to the set-up path, the epoch executor, the
+// mailboxes or the incast samplers that moves a single event or sample
+// shows up here.  A sharded digest must also be the same for 1 and 4
 // workers (the worker count never changes a result).
+//
+// These tests run in the optimized tier-1 build and in the Debug/ASan
+// build, so they also hold the run-level determinism rules: a wall-clock
+// read, libc or ad-hoc randomness, or an assert whose argument changes
+// state would move a digest in one build or the other.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,6 +19,7 @@
 #include <vector>
 
 #include "experiments/datacenter.h"
+#include "experiments/incast.h"
 #include "experiments/sharded.h"
 
 namespace fastcc::exp {
@@ -110,6 +118,76 @@ TEST(DatacenterGolden, RunnersMatchRecordedDigests) {
       SCOPED_TRACE(workers);
       EXPECT_EQ(sharded_digest(c, topo::ShardGranularity::kPod, workers), g.pod);
       EXPECT_EQ(sharded_digest(c, topo::ShardGranularity::kTor, workers), g.tor);
+    }
+  }
+}
+
+void add_series(Fnv1a& h, const stats::TimeSeries& s) {
+  h.add(s.size());
+  for (const stats::TimePoint& p : s.points()) {
+    h.add(p.t);
+    h.add(p.value);
+  }
+}
+
+std::uint64_t digest(const IncastResult& r) {
+  Fnv1a h;
+  for (const std::vector<FlowTiming>* timings : {&r.flows, &r.probes}) {
+    h.add(timings->size());
+    for (const FlowTiming& f : *timings) {
+      h.add(f.id);
+      h.add(f.start);
+      h.add(f.finish);
+    }
+  }
+  add_series(h, r.jain);
+  add_series(h, r.queue_bytes);
+  add_series(h, r.utilization);
+  h.add(r.drops);
+  h.add(r.completion_time);
+  h.add(r.events_executed);
+  return h.value();
+}
+
+// The paper's 16-to-1 incast (Figs 5/6), once per in-tree engine.  DCQCN
+// also runs small-flow probes: its RED marking draws from the network's rng
+// stream, and the probes take the prober's flow-start path.
+IncastConfig incast_golden_config(Variant variant) {
+  IncastConfig c;
+  c.variant = variant;
+  if (variant == Variant::kDcqcn) c.probe_count = 4;
+  return c;
+}
+
+struct IncastCase {
+  Variant variant;
+  std::uint64_t digest;
+};
+
+// Change these only with a change meant to alter results.
+constexpr IncastCase kIncastGolden[] = {
+    {Variant::kHpccVaiSf, 15926356823774156411ull},
+    {Variant::kDcqcn, 11571887836085242100ull},
+    {Variant::kSwiftVaiSf, 17057748056334833742ull},
+    {Variant::kTimely, 7542425334394930341ull},
+    {Variant::kDctcp, 11369365590446851649ull},
+};
+
+TEST(IncastGolden, RunnerMatchesRecordedDigests) {
+  for (const IncastCase& g : kIncastGolden) {
+    SCOPED_TRACE(variant_name(g.variant));
+    const IncastConfig c = incast_golden_config(g.variant);
+    const IncastResult r = run_incast(c);
+    EXPECT_EQ(r.flows.size(), static_cast<std::size_t>(c.pattern.senders));
+    EXPECT_EQ(r.probes.size(), static_cast<std::size_t>(c.probe_count));
+    EXPECT_EQ(digest(r), g.digest);
+    if (g.variant == Variant::kDcqcn) {
+      // DCQCN's controller draws nothing, so its result depends on the seed
+      // only through RED marking: a different seed must move the digest, or
+      // this golden would not be holding the RED stream.
+      IncastConfig reseeded = c;
+      reseeded.seed += 1;
+      EXPECT_NE(digest(run_incast(reseeded)), g.digest);
     }
   }
 }

@@ -42,46 +42,5 @@ TEST(JainIndex, BoundedByOneOverNAndOne) {
   EXPECT_LE(j, 1.0);
 }
 
-TEST(JainSampler, ComputesIndexOverAckedDeltas) {
-  net::FlowTx f1, f2;
-  f1.spec.start_time = 0;
-  f2.spec.start_time = 0;
-  JainSampler sampler({&f1, &f2});
-  f1.cum_acked = 1000;
-  f2.cum_acked = 1000;
-  EXPECT_DOUBLE_EQ(sampler.sample(0, 100), 1.0);
-  f1.cum_acked = 3000;  // +2000
-  f2.cum_acked = 2000;  // +1000
-  EXPECT_DOUBLE_EQ(sampler.sample(100, 200), 0.9);
-}
-
-TEST(JainSampler, ExcludesNotYetStartedFlows) {
-  net::FlowTx early, late;
-  early.spec.start_time = 0;
-  late.spec.start_time = 1'000'000;
-  JainSampler sampler({&early, &late});
-  early.cum_acked = 5000;
-  EXPECT_DOUBLE_EQ(sampler.sample(0, 100), 1.0);  // only `early` counts
-}
-
-TEST(JainSampler, ExcludesLongFinishedFlows) {
-  net::FlowTx done, live;
-  done.spec.start_time = 0;
-  done.finish_time = 50;
-  live.spec.start_time = 0;
-  JainSampler sampler({&done, &live});
-  done.cum_acked = 1000;
-  live.cum_acked = 1000;
-  // Window [100, 200): `done` finished before it began.
-  EXPECT_DOUBLE_EQ(sampler.sample(100, 200), 1.0);
-}
-
-TEST(JainSampler, NoActiveFlowsReturnsSentinel) {
-  net::FlowTx future;
-  future.spec.start_time = 1'000'000;
-  JainSampler sampler({&future});
-  EXPECT_DOUBLE_EQ(sampler.sample(0, 100), -1.0);
-}
-
 }  // namespace
 }  // namespace fastcc::core

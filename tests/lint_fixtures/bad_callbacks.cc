@@ -1,6 +1,6 @@
-// fastcc-lint fixture: event-callback hygiene (ref-capture-callback,
-// sbo-capture) and shared-state isolation (mutable-global).  Never
-// compiled — consumed by `tools/fastcc-lint --self-test`.
+// fastcc-lint fixture: event-callback hygiene (ref-capture-callback) and
+// shared-state isolation (mutable-global).  Never compiled — consumed by
+// `tools/fastcc-lint --self-test`.
 
 namespace fastcc::bad {
 
@@ -15,14 +15,6 @@ void schedule_unsafe(sim::Simulator& sim) {
   });
   sim.after(20 * sim::kMicrosecond, [&completed] {        // expect-lint: ref-capture-callback
     ++completed;
-  });
-}
-
-void schedule_moved_payload(sim::Simulator& sim, net::Packet frame) {  // expect-lint: packet-copy
-  // No size static_assert near this capture: the payload may silently
-  // exceed the scheduler's inline buffer and take the heap path.
-  sim.after(5 * sim::kMicrosecond, [f = std::move(frame)]() mutable {  // expect-lint: sbo-capture
-    consume(std::move(f));
   });
 }
 

@@ -1,5 +1,5 @@
 // fastcc-lint fixture: unit-safety checks (time-literal, rate-literal,
-// time-narrowing, float-type).  Never compiled — consumed by
+// time-narrowing).  Never compiled — consumed by
 // `tools/fastcc-lint --self-test`.
 
 namespace fastcc::bad {
@@ -29,11 +29,6 @@ void narrow_timestamps(sim::Simulator& sim) {
   (void)truncated;
   (void)lag;
   (void)widened;
-}
-
-void single_precision() {
-  float utilization_fraction = 0.5f;                      // expect-lint: float-type
-  (void)utilization_fraction;
 }
 
 }  // namespace fastcc::bad

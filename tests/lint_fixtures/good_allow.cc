@@ -14,10 +14,4 @@ void drain_before_exit(sim::Simulator& sim) {
   sim.run();
 }
 
-void logging_only() {
-  // lint:allow(wall-clock -- log timestamping only; never feeds simulation state)
-  auto wall = std::chrono::steady_clock::now();
-  (void)wall;
-}
-
 }  // namespace fastcc::good

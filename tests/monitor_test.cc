@@ -26,36 +26,6 @@ struct MonitorHarness {
   }
 };
 
-TEST(QueueMonitor, SamplesBacklogOnSchedule) {
-  MonitorHarness h;
-  bool running = true;
-  QueueMonitor mon(h.simulator, h.a.port(0), 100, "q",
-                   [&running] { return running; });
-  mon.start();
-  // Enqueue a burst at t=0: backlog drains one packet per 84 ns.
-  for (int i = 0; i < 10; ++i) h.a.port(0).enqueue(test_packet(1000));
-  h.simulator.at(2000, [&running] { running = false; });
-  h.simulator.run(3000);
-  ASSERT_GE(mon.series().size(), 10u);
-  // First sample (t=100): the t=0 commit sent one packet, and the t=84 kick
-  // bulk-committed the next kMaxBurstPackets at their analytic serialization
-  // starts (DESIGN.md §11: dequeue accounting happens at burst commit, so
-  // sampled backlog moves in burst-sized steps) -> one packet still queued.
-  EXPECT_DOUBLE_EQ(mon.series().points()[0].value, 1 * 1048.0);
-  // Final samples: empty queue.
-  EXPECT_DOUBLE_EQ(mon.series().points().back().value, 0.0);
-}
-
-TEST(QueueMonitor, StopPredicateEndsSampling) {
-  MonitorHarness h;
-  int budget = 3;
-  QueueMonitor mon(h.simulator, h.a.port(0), 100, "q",
-                   [&budget] { return --budget > 0; });
-  mon.start();
-  h.simulator.run(10'000);
-  EXPECT_EQ(mon.series().size(), 3u);
-}
-
 TEST(UtilizationMonitor, FullySaturatedLinkReadsOne) {
   MonitorHarness h;
   bool running = true;

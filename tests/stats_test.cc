@@ -1,8 +1,6 @@
 // Percentiles, FCT records / slowdown tables, and time series.
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "stats/fct.h"
 #include "stats/percentile.h"
 #include "stats/timeseries.h"
@@ -156,17 +154,6 @@ TEST(TimeSeries, NeverSettlesReturnsMinusOne) {
   ts.add(0, 0.5);
   ts.add(10, 0.94);
   EXPECT_EQ(ts.settle_time(0.95), -1);
-}
-
-TEST(TimeSeries, CsvOutputWellFormed) {
-  TimeSeries a("alpha"), b("beta");
-  a.add(1000, 1.0);
-  a.add(2000, 2.0);
-  b.add(1000, 3.0);
-  b.add(2000, 4.0);
-  std::ostringstream os;
-  write_csv(os, {&a, &b});
-  EXPECT_EQ(os.str(), "time_us,alpha,beta\n1,1,3\n2,2,4\n");
 }
 
 }  // namespace
