@@ -21,7 +21,6 @@
 #include "core/sampling_frequency.h"
 #include "core/variable_ai.h"
 #include "sim/random.h"
-#include "util/contracts.h"
 
 namespace fastcc::cc {
 
@@ -40,7 +39,7 @@ struct HpccParams {
 
 /// Convenience: the paper's VAI parameterization for HPCC — one token per
 /// KByte of queue above `min_bdp_bytes`, bank 1000, cap 100, dampener 8.
-core::VariableAiParams hpcc_paper_vai(FASTCC_UNIT_BYTES double min_bdp_bytes);
+core::VariableAiParams hpcc_paper_vai(double min_bdp_bytes);
 
 // Concrete protocols are plain (non-virtual) classes dispatched statically
 // through cc::CcEngine (engine.h); deriving from CongestionControl is
@@ -55,7 +54,7 @@ class Hpcc {
   const char* name() const { return "hpcc"; }
 
   // Introspection for tests.
-  FASTCC_UNIT_BYTES double reference_window() const { return wc_; }
+  double reference_window() const { return wc_; }
   double utilization_estimate() const { return u_; }
   int inc_stage() const { return inc_stage_; }
   const core::VariableAi& vai() const { return vai_; }
@@ -75,7 +74,7 @@ class Hpcc {
   core::SamplingFrequency sf_;
   sim::Rng* rng_;
 
-  FASTCC_UNIT_BYTES double wc_ = 0.0;  ///< Reference window (bytes).
+  double wc_ = 0.0;  ///< Reference window (bytes).
   double u_ = 0.0;   ///< Smoothed normalized inflight.
   int inc_stage_ = 0;
   std::uint64_t last_update_seq_ = 0;  ///< Per-RTT reference gate.
@@ -87,10 +86,10 @@ class Hpcc {
   std::array<net::IntRecord, net::kMaxHops> prev_ints_{};
   int prev_hop_count_ = -1;
 
-  /// line_rate * base_rtt (probabilistic law).
-  FASTCC_UNIT_BYTES double max_window_ = 0.0;
+  /// line_rate * base_rtt, bytes (probabilistic law).
+  double max_window_ = 0.0;
   /// ai_rate * base_rtt, bytes.
-  FASTCC_UNIT_BYTES double w_ai_base_ = 0.0;
+  double w_ai_base_ = 0.0;
 };
 
 }  // namespace fastcc::cc

@@ -26,7 +26,6 @@
 #include "core/sampling_frequency.h"
 #include "core/variable_ai.h"
 #include "sim/random.h"
-#include "util/contracts.h"
 
 namespace fastcc::cc {
 
@@ -81,14 +80,13 @@ class Swift {
   /// Target delay for a given congestion window and number of *switch* hops
   /// (the paper's topology-based scaling unit; a star path has 1, the
   /// fat-tree worst case 5).  Exposed for tests.
-  sim::Time target_delay(FASTCC_DIMENSIONLESS double cwnd_packets,
-                         int switch_hops) const;
+  sim::Time target_delay(double cwnd_packets, int switch_hops) const;
 
   /// Switch hops on a path with `link_hops` links (hosts at both ends).
   static int scaling_hops(int link_hops) { return std::max(link_hops - 1, 0); }
 
-  FASTCC_DIMENSIONLESS double cwnd() const { return cwnd_; }
-  FASTCC_DIMENSIONLESS double reference_cwnd() const { return ref_cwnd_; }
+  double cwnd() const { return cwnd_; }
+  double reference_cwnd() const { return ref_cwnd_; }
   const core::VariableAi& vai() const { return vai_; }
   bool in_hyper_ai() const {
     return p_.use_hyper_ai && quiet_rtt_streak_ >= p_.hai_threshold;
@@ -106,10 +104,10 @@ class Swift {
   core::SamplingFrequency sf_;
   sim::Rng* rng_;
 
-  FASTCC_DIMENSIONLESS double cwnd_ = 0.0;      ///< Packets.
-  FASTCC_DIMENSIONLESS double ref_cwnd_ = 0.0;  ///< Reference window (SF).
-  FASTCC_DIMENSIONLESS double max_cwnd_ = 0.0;  ///< Line-rate BDP, packets.
-  FASTCC_DIMENSIONLESS double ai_pkts_per_rtt_ = 0.0;
+  double cwnd_ = 0.0;      ///< Packets.
+  double ref_cwnd_ = 0.0;  ///< Reference window (SF), packets.
+  double max_cwnd_ = 0.0;  ///< Line-rate BDP, packets.
+  double ai_pkts_per_rtt_ = 0.0;
 
   sim::Time last_decrease_time_ = -1;     ///< Per-RTT MD gate (default mode).
   std::uint64_t ref_boundary_seq_ = 0;    ///< Per-RTT reference gate (SF).

@@ -13,59 +13,52 @@
 #include <vector>
 
 #include "sim/time.h"
-#include "util/contracts.h"
 
 namespace fastcc::core {
 
 struct FluidModelParams {
   double beta = 0.5;        ///< MD strength per decrease interval.
   /// r: observed RTT driving the per-RTT schedule.
-  FASTCC_UNIT_NS double rtt_ns = 30000.0;
-  FASTCC_UNIT_BYTES double mtu_bytes = 1000.0;
+  double rtt_ns = 30000.0;
+  double mtu_bytes = 1000.0;
   double s_acks = 30.0;     ///< Sampling Frequency (ACKs per decrease).
 };
 
 /// Closed-form per-s-ACK rate: 1/S(t) = 1/S0 + beta t / (s MTU).
-FASTCC_UNIT_BPNS double sampling_frequency_rate(
-    FASTCC_UNIT_BPNS double s0_bytes_per_ns, FASTCC_UNIT_NS double t_ns,
-    const FluidModelParams& p);
+double sampling_frequency_rate(double s0_bytes_per_ns, double t_ns,
+                               const FluidModelParams& p);
 
 /// Closed-form per-RTT rate: R(t) = R0 exp(-beta t / r).
-FASTCC_UNIT_BPNS double per_rtt_rate(FASTCC_UNIT_BPNS double r0_bytes_per_ns,
-                                     FASTCC_UNIT_NS double t_ns,
-                                     const FluidModelParams& p);
+double per_rtt_rate(double r0_bytes_per_ns, double t_ns,
+                    const FluidModelParams& p);
 
 /// Numerically integrates both ODEs with classic RK4 from the same initial
 /// rate; returned pair is (sampling-frequency rate, per-RTT rate) at t_ns.
 struct FluidRates {
-  FASTCC_UNIT_BPNS double sf_rate;
-  FASTCC_UNIT_BPNS double rtt_rate;
+  double sf_rate;
+  double rtt_rate;
 };
-FluidRates integrate_rk4(FASTCC_UNIT_BPNS double initial_rate,
-                         FASTCC_UNIT_NS double t_ns,
-                         FASTCC_UNIT_NS double dt_ns,
+FluidRates integrate_rk4(double initial_rate, double t_ns, double dt_ns,
                          const FluidModelParams& p);
 
 /// One point of the Figure 4 series.
 struct FairnessPoint {
-  FASTCC_UNIT_NS double t_ns;
-  FASTCC_UNIT_BPNS double sf_gap;   ///< S1(t) - S0(t), bytes/ns.
-  FASTCC_UNIT_BPNS double rtt_gap;  ///< R1(t) - R0(t), bytes/ns.
-  double difference;    ///< rtt_gap - sf_gap (positive: SF is fairer).
+  double t_ns;
+  double sf_gap;      ///< S1(t) - S0(t), bytes/ns.
+  double rtt_gap;     ///< R1(t) - R0(t), bytes/ns.
+  double difference;  ///< rtt_gap - sf_gap (positive: SF is fairer).
 };
 
 /// Generates the Figure 4 series for two flows with the given initial rates
 /// (the paper uses 100 Gbps and 50 Gbps), sampled every `step_ns` until
 /// `horizon_ns`.
 std::vector<FairnessPoint> fairness_difference_series(
-    FASTCC_UNIT_BPNS double fast_rate, FASTCC_UNIT_BPNS double slow_rate,
-    FASTCC_UNIT_NS double horizon_ns, FASTCC_UNIT_NS double step_ns,
+    double fast_rate, double slow_rate, double horizon_ns, double step_ns,
     const FluidModelParams& p);
 
 /// The paper's analytic convergence condition: the SF schedule closes the
 /// gap faster at t=0 iff 1/r < (C1 + C0) / (s * MTU).
-bool sf_converges_faster(FASTCC_UNIT_BPNS double fast_rate,
-                         FASTCC_UNIT_BPNS double slow_rate,
+bool sf_converges_faster(double fast_rate, double slow_rate,
                          const FluidModelParams& p);
 
 }  // namespace fastcc::core

@@ -15,8 +15,6 @@
 
 #include <algorithm>
 
-#include "util/contracts.h"
-
 namespace fastcc::core {
 
 struct VariableAiParams {
@@ -48,7 +46,7 @@ class VariableAi {
   /// Algorithm 2: multiplier to apply to the base AI step.  Returns >= 1.
   /// `spend` must be true on reference-rate updates (which consume banked
   /// tokens) and false for intermediate per-ACK computations.
-  FASTCC_DIMENSIONLESS double ai_multiplier(bool spend);
+  double ai_multiplier(bool spend);
 
   double bank() const { return bank_; }
   double dampener() const { return dampener_; }

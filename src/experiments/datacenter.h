@@ -36,7 +36,9 @@ struct DatacenterConfig {
 
   /// When non-empty, replay these flows (src/dst as host indices — e.g.
   /// loaded via workload::load_flow_trace) instead of generating traffic;
-  /// `components`/`load`/`generate_duration` are then ignored.
+  /// `components`/`load`/`generate_duration` are then ignored.  Both
+  /// runners throw std::invalid_argument for a malformed flow: a host index
+  /// outside the tree, dst == src, size 0, a negative start or a repeated id.
   std::vector<net::FlowSpec> preset_flows;
 };
 

@@ -1,6 +1,9 @@
 #include "experiments/datacenter_setup.h"
 
+#include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace fastcc::exp {
 
@@ -11,16 +14,38 @@ namespace {
 topo::FatTree build_configured_tree(net::Network& network,
                                     const DatacenterConfig& config) {
   topo::FatTree tree = build_fat_tree(network, config.topo);
-  if (variant_needs_red(config.variant)) {
-    network.set_red_all(red_params_for(config.variant));
-    // ECN-driven deployments rely on PFC for losslessness while the
-    // protocol converges (RDMA practice for DCQCN; harmless for DCTCP).
-    net::PfcParams pfc;
-    pfc.pause_bytes = 200'000;
-    pfc.resume_bytes = 100'000;
-    network.set_pfc_all(pfc);
-  }
+  configure_switches(network, config.variant);
   return tree;
+}
+
+[[noreturn]] void reject(net::FlowId id, const std::string& what) {
+  throw std::invalid_argument("preset flow " + std::to_string(id) + ": " +
+                              what);
+}
+
+/// The runners index tree.hosts by src and dst and key paths and records
+/// by flow id, so a flow they cannot run is refused before it is scheduled.
+void check_preset_flows(const std::vector<net::FlowSpec>& specs,
+                        std::size_t host_count) {
+  std::vector<net::FlowId> ids;
+  ids.reserve(specs.size());
+  for (const net::FlowSpec& s : specs) {
+    if (s.src >= host_count) {
+      reject(s.id, "src " + std::to_string(s.src) + " is not below the " +
+                       std::to_string(host_count) + " hosts of the tree");
+    }
+    if (s.dst >= host_count) {
+      reject(s.id, "dst " + std::to_string(s.dst) + " is not below the " +
+                       std::to_string(host_count) + " hosts of the tree");
+    }
+    if (s.dst == s.src) reject(s.id, "dst equals src");
+    if (s.size_bytes == 0) reject(s.id, "size_bytes is 0");
+    if (s.start_time < 0) reject(s.id, "start_time is negative");
+    ids.push_back(s.id);
+  }
+  std::sort(ids.begin(), ids.end());
+  const auto twin = std::adjacent_find(ids.begin(), ids.end());
+  if (twin != ids.end()) reject(*twin, "id is used by two flows");
 }
 
 }  // namespace
@@ -32,6 +57,7 @@ DatacenterSetup::DatacenterSetup(const DatacenterConfig& config,
       factory_(network_, config.variant, /*small_topology=*/false) {
   assert(!config.components.empty() || !config.preset_flows.empty());
   if (!config.preset_flows.empty()) {
+    check_preset_flows(config.preset_flows, tree_.hosts.size());
     specs_ = config.preset_flows;
     return;
   }

@@ -27,6 +27,9 @@ class DatacenterSetup {
   /// Builds the fat-tree on `simulator`, applies the variant's RED/PFC
   /// settings, creates the CC factory, and takes the flow specs from
   /// config.preset_flows or draws them from a fork of the network's Rng.
+  /// Throws std::invalid_argument, naming the flow id and the field, for a
+  /// preset flow with a src or dst outside the tree, dst == src, size 0, a
+  /// negative start time, or an id another preset flow already uses.
   DatacenterSetup(const DatacenterConfig& config, sim::Simulator& simulator);
   DatacenterSetup(const DatacenterSetup&) = delete;
   DatacenterSetup& operator=(const DatacenterSetup&) = delete;

@@ -48,16 +48,7 @@ IncastResult run_incast(const IncastConfig& config) {
   topo::Star star = build_star(network, star_params);
   assert(static_cast<int>(star.hosts.size()) >= config.pattern.senders + 1);
 
-  if (variant_needs_red(config.variant)) {
-    network.set_red_all(red_params_for(config.variant));
-    // ECN-driven deployments rely on PFC for losslessness while the
-    // protocol converges (RDMA practice for DCQCN; harmless for DCTCP).
-    net::PfcParams pfc;
-    pfc.pause_bytes = 200'000;
-    pfc.resume_bytes = 100'000;
-    network.set_pfc_all(pfc);
-  }
-
+  configure_switches(network, config.variant);
   if (config.buffer_limit_bytes > 0) {
     network.set_buffer_limit_all(config.buffer_limit_bytes);
   }

@@ -77,6 +77,17 @@ net::RedParams red_params_for(Variant v) {
   return red;
 }
 
+void configure_switches(net::Network& network, Variant v) {
+  if (!variant_needs_red(v)) return;
+  network.set_red_all(red_params_for(v));
+  // ECN-driven deployments rely on PFC for losslessness while the
+  // protocol converges (RDMA practice for DCQCN; harmless for DCTCP).
+  net::PfcParams pfc;
+  pfc.pause_bytes = 200'000;
+  pfc.resume_bytes = 100'000;
+  network.set_pfc_all(pfc);
+}
+
 CcFactory::CcFactory(net::Network& network, Variant variant,
                      bool small_topology, std::uint32_t mtu)
     : network_(network),

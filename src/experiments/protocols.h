@@ -44,6 +44,10 @@ bool variant_needs_red(Variant v);
 /// Marking parameters appropriate for the variant: probabilistic RED for
 /// DCQCN, a step function at K for DCTCP.
 net::RedParams red_params_for(Variant v);
+/// Applies the variant's switch settings to every switch of `network`: for
+/// the variants that need RED, red_params_for(v) plus PFC (200 KB pause,
+/// 100 KB resume); nothing for the others.
+void configure_switches(net::Network& network, Variant v);
 
 /// Builds congestion controllers for a given network + variant.
 class CcFactory {

@@ -19,7 +19,6 @@
 #include <cstdint>
 
 #include "sim/time.h"
-#include "util/contracts.h"
 
 namespace fastcc::net {
 
@@ -35,14 +34,14 @@ struct FlowView {
   // standalone FlowTx's own members). ----
   std::uint64_t& snd_nxt;     ///< Next payload byte to send.
   std::uint64_t& cum_acked;   ///< Highest cumulatively acked byte.
-  FASTCC_UNIT_BYTES double& window_bytes;
+  double& window_bytes;
   sim::Rate& rate;
   sim::Time& next_tx_time;
 
   // ---- Per-flow path constants, by value (immutable after install). ----
   const sim::Rate line_rate;
   const sim::Time base_rtt;
-  FASTCC_UNIT_BYTES const std::uint32_t mtu;
+  const std::uint32_t mtu;
   const int path_hops;
 
   FlowView(std::uint64_t& snd_nxt_ref, std::uint64_t& cum_acked_ref,

@@ -11,7 +11,6 @@
 
 #include "net/port.h"
 #include "sim/simulator.h"
-#include "util/contracts.h"
 #include "sim/timing_wheel.h"
 #include "stats/timeseries.h"
 
@@ -31,7 +30,7 @@ class UtilizationMonitor {
   /// Fraction of link capacity used per interval, in [0, ~1].
   const stats::TimeSeries& series() const { return series_; }
   /// Mean utilization across all samples so far.
-  FASTCC_DIMENSIONLESS double mean_utilization() const;
+  double mean_utilization() const;
 
   /// Routes the periodic re-arm through a node's timing wheel (usually the
   /// monitored port's owner), keeping the sampler off the global event
@@ -50,7 +49,7 @@ class UtilizationMonitor {
   sim::WheelScheduler* wheel_ = nullptr;
   /// Serialized-by-last-sample bytes (tx counter minus the in-flight burst
   /// remainder) — fractional because the remainder is analytic.
-  FASTCC_UNIT_BYTES double last_tx_bytes_ = 0.0;
+  double last_tx_bytes_ = 0.0;
 };
 
 }  // namespace fastcc::net

@@ -12,7 +12,6 @@
 #include <cstdint>
 
 #include "sim/time.h"
-#include "util/contracts.h"
 
 namespace fastcc::net {
 
@@ -43,9 +42,9 @@ enum class PacketType : std::uint8_t {
 struct IntRecord {
   sim::Time timestamp = 0;      ///< Time the packet began transmission.
   /// Cumulative bytes sent on the link.
-  FASTCC_UNIT_BYTES std::uint64_t tx_bytes = 0;
+  std::uint64_t tx_bytes = 0;
   /// Egress queue backlog left behind.
-  FASTCC_UNIT_BYTES std::uint32_t qlen_bytes = 0;
+  std::uint32_t qlen_bytes = 0;
   sim::Rate bandwidth = 0.0;    ///< Link capacity, bytes/ns.
 };
 
@@ -63,8 +62,8 @@ struct Packet {
   FlowId flow = 0;
   NodeId src = kInvalidNode;
   NodeId dst = kInvalidNode;
-  FASTCC_UNIT_BYTES std::uint32_t payload_bytes = 0;
-  FASTCC_UNIT_BYTES std::uint32_t wire_bytes = 0;
+  std::uint32_t payload_bytes = 0;
+  std::uint32_t wire_bytes = 0;
 
   /// PFC pause/resume: the port on the *receiving* node whose transmitter
   /// must pause (single priority class).

@@ -29,7 +29,6 @@
 #include "sim/random.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
-#include "util/contracts.h"
 
 namespace fastcc::net {
 
@@ -93,22 +92,18 @@ class Port {
   }
 
   /// Total buffered bytes (both priorities).
-  FASTCC_UNIT_BYTES std::uint64_t queue_bytes() const { return queued_bytes_; }
+  std::uint64_t queue_bytes() const { return queued_bytes_; }
   /// Buffered bytes of data packets only — the quantity INT reports.
-  FASTCC_UNIT_BYTES std::uint64_t data_queue_bytes() const {
-    return data_queued_bytes_;
-  }
-  FASTCC_UNIT_BYTES std::uint64_t max_queue_bytes() const {
-    return max_queued_bytes_;
-  }
-  FASTCC_UNIT_BYTES std::uint64_t tx_bytes_total() const { return tx_bytes_; }
+  std::uint64_t data_queue_bytes() const { return data_queued_bytes_; }
+  std::uint64_t max_queue_bytes() const { return max_queued_bytes_; }
+  std::uint64_t tx_bytes_total() const { return tx_bytes_; }
   /// Bytes of committed transmissions not yet on the wire at `now`.  The
   /// bulk drain books a whole burst's tx_bytes at its commit event, but the
   /// wire stays continuously busy from that instant to wire_free_time_, so
   /// the unserialized remainder is exactly the residual busy time at line
   /// rate.  Samplers (UtilizationMonitor) subtract this so a window never
   /// reads above link capacity.
-  FASTCC_UNIT_BYTES double unserialized_tx_bytes(sim::Time now) const {
+  double unserialized_tx_bytes(sim::Time now) const {
     return now >= wire_free_time_
                ? 0.0
                : static_cast<double>(wire_free_time_ - now) * bandwidth_;
@@ -118,9 +113,7 @@ class Port {
   /// Hard buffer cap; packets beyond it are dropped (experiments run with
   /// PFC or generous buffers so this should stay untouched — drops() lets
   /// tests assert that).
-  void set_buffer_limit(FASTCC_UNIT_BYTES std::uint64_t bytes) {
-    buffer_limit_ = bytes;
-  }
+  void set_buffer_limit(std::uint64_t bytes) { buffer_limit_ = bytes; }
 
   sim::Rate bandwidth() const { return bandwidth_; }
   sim::Time propagation_delay() const { return prop_delay_; }
@@ -149,11 +142,11 @@ class Port {
   PacketPool* pool_ = nullptr;
   PacketRing high_q_;  // control / ACK
   PacketRing low_q_;   // data
-  FASTCC_UNIT_BYTES std::uint64_t queued_bytes_ = 0;
-  FASTCC_UNIT_BYTES std::uint64_t data_queued_bytes_ = 0;
-  FASTCC_UNIT_BYTES std::uint64_t max_queued_bytes_ = 0;
-  FASTCC_UNIT_BYTES std::uint64_t buffer_limit_ = UINT64_MAX;
-  FASTCC_UNIT_BYTES std::uint64_t tx_bytes_ = 0;
+  std::uint64_t queued_bytes_ = 0;
+  std::uint64_t data_queued_bytes_ = 0;
+  std::uint64_t max_queued_bytes_ = 0;
+  std::uint64_t buffer_limit_ = UINT64_MAX;
+  std::uint64_t tx_bytes_ = 0;
   std::uint64_t drops_ = 0;
 
   /// The wire is serializing until this instant; a new transmission may

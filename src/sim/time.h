@@ -33,12 +33,10 @@ using Rate = double;
 
 /// Converts a rate expressed in gigabits per second to bytes per nanosecond.
 constexpr Rate gbps(double gigabits_per_second) {
-  // lint:allow(unit-mix -- this body IS the sanctioned Gbps->B/ns boundary)
   return gigabits_per_second / 8.0;
 }
 
 /// Converts a rate in bytes-per-nanosecond back to gigabits per second.
-/// lint:allow(unit-mix -- this body IS the sanctioned B/ns->Gbps boundary)
 constexpr double to_gbps(Rate bytes_per_ns) { return bytes_per_ns * 8.0; }
 
 /// Time to serialize `bytes` at `rate`.

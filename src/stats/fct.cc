@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <tuple>
 
 #include "stats/percentile.h"
 
@@ -51,9 +52,12 @@ std::vector<SlowdownRow> slowdown_by_size(std::vector<FlowRecord> records,
   assert(groups > 0);
   std::vector<SlowdownRow> rows;
   if (records.empty()) return rows;
+  // Ties in size break by flow id, so the groups do not depend on the
+  // order the runner returned the records in.
   std::sort(records.begin(), records.end(),
             [](const FlowRecord& a, const FlowRecord& b) {
-              return a.size_bytes < b.size_bytes;
+              return std::tie(a.size_bytes, a.id) <
+                     std::tie(b.size_bytes, b.id);
             });
   const std::size_t n = records.size();
   const std::size_t per_group = std::max<std::size_t>(1, n / groups);

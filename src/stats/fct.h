@@ -53,8 +53,9 @@ struct SlowdownRow {
   double slowdown = 0.0;
 };
 
-/// Sorts records by flow size, splits them into `groups` equal-population
-/// chunks, and reports the p-th percentile slowdown per chunk.
+/// Sorts records by (flow size, flow id), splits them into `groups`
+/// equal-population chunks, and reports the p-th percentile slowdown per
+/// chunk.  The result does not depend on the order of `records`.
 std::vector<SlowdownRow> slowdown_by_size(std::vector<FlowRecord> records,
                                           int groups, double p);
 

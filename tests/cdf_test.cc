@@ -1,10 +1,12 @@
-// Flow-size CDF sampler and the paper's three workload distributions.
+// Flow-size CDF sampler, the paper's three workload distributions, and the
+// load the Poisson generator offers.
 #include "workload/cdf.h"
 
 #include <gtest/gtest.h>
 
 #include "sim/random.h"
 #include "workload/distributions.h"
+#include "workload/poisson.h"
 
 namespace fastcc::workload {
 namespace {
@@ -101,6 +103,28 @@ TEST(Distributions, SampledTailMatchesAnchors) {
     if (hadoop_cdf().sample(rng) > 300'000) ++over_300k;
   }
   EXPECT_NEAR(static_cast<double>(over_300k) / n, 0.05, 0.01);
+}
+
+// ---- Poisson arrivals (Section VI-A) ----
+
+TEST(PoissonTraffic, OfferedBytesMatchTheLoad) {
+  // Every flow is 10 KB, so ~40,000 arrivals keep the sampling error far
+  // inside the tolerance; a Gbps/bytes slip in the arrival rate is 8x off.
+  const Cdf fixed("10KB", {{10'000, 1.0}});
+  PoissonTrafficParams params;
+  params.components = {{&fixed, 1.0}};
+  params.load = 0.5;
+  params.host_bandwidth = sim::gbps(100);
+  params.host_count = 32;
+  params.duration = 2 * sim::kMillisecond;
+  sim::Rng rng(1);
+  double offered = 0.0;
+  for (const net::FlowSpec& f : generate_poisson_traffic(params, rng)) {
+    offered += static_cast<double>(f.size_bytes);
+  }
+  const double capacity = params.host_bandwidth * params.host_count *
+                          static_cast<double>(params.duration);
+  EXPECT_NEAR(offered / capacity, params.load, 0.05 * params.load);
 }
 
 }  // namespace

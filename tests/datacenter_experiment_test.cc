@@ -4,12 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include "experiments/sharded.h"
 #include "stats/fct.h"
 #include "workload/distributions.h"
 #include "workload/poisson.h"
 #include "workload/trace.h"
 
+#include <ostream>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 namespace fastcc::exp {
 namespace {
@@ -125,6 +129,55 @@ TEST(DatacenterExperiment, DcqcnRunsWithRedAndPfc) {
   EXPECT_EQ(r.unfinished, 0u);
   EXPECT_EQ(r.drops, 0u);
 }
+
+// ---- Malformed preset flows ----
+
+struct BadPreset {
+  const char* name;
+  net::FlowSpec flow;  ///< Joins two valid flows, ids 1 and 2.
+  const char* field;   ///< The error must name flow.id and this field.
+};
+
+void PrintTo(const BadPreset& b, std::ostream* os) { *os << b.name; }
+
+class PresetFlowRejection : public ::testing::TestWithParam<BadPreset> {};
+
+TEST_P(PresetFlowRejection, BothRunnersThrowNamingFlowAndField) {
+  const BadPreset& bad = GetParam();
+  DatacenterConfig c = tiny_config(Variant::kHpcc);
+  c.max_sim_time = sim::kMillisecond;  // bounds a run that should not start
+  c.preset_flows = {{1, 0, 1, 10'000, 0}, {2, 4, 20, 10'000, 0}, bad.flow};
+  const std::string expected = "preset flow " + std::to_string(bad.flow.id) +
+                               ": " + bad.field + " ";
+  for (const bool sharded : {false, true}) {
+    SCOPED_TRACE(sharded ? "sharded" : "serial");
+    try {
+      if (sharded) {
+        run_datacenter_sharded(c, 2);
+      } else {
+        run_datacenter(c);
+      }
+      ADD_FAILURE() << "no std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()).rfind(expected, 0), 0u) << e.what();
+    }
+  }
+}
+
+// The scaled tree has 32 hosts, indices 0-31.
+INSTANTIATE_TEST_SUITE_P(
+    Rows, PresetFlowRejection,
+    ::testing::Values(
+        BadPreset{"SrcPastTree", {3, 32, 1, 10'000, 0}, "src"},
+        BadPreset{"DstPastTree", {3, 0, 32, 10'000, 0}, "dst"},
+        BadPreset{"DstEqualsSrc", {3, 5, 5, 10'000, 0}, "dst"},
+        BadPreset{"ZeroSize", {3, 0, 9, 0, 0}, "size_bytes"},
+        BadPreset{"NegativeStart", {3, 0, 9, 10'000, -sim::kMicrosecond},
+                  "start_time"},
+        BadPreset{"RepeatedId", {1, 6, 17, 10'000, 0}, "id"}),
+    [](const ::testing::TestParamInfo<BadPreset>& row) {
+      return std::string(row.param.name);
+    });
 
 }  // namespace
 }  // namespace fastcc::exp

@@ -122,6 +122,33 @@ TEST(SlowdownBySize, EmptyInputYieldsNoRows) {
   EXPECT_TRUE(slowdown_by_size({}, 10, 50.0).empty());
 }
 
+TEST(SlowdownBySize, IndependentOfInputOrder) {
+  // The serial runner returns records in completion order and the sharded
+  // one in flow-id order.  With 10 sizes in groups of 33, 33 and 34, each
+  // group boundary splits a size class whose flows differ in slowdown, so
+  // the tables match only if ties in size break the same way in both orders.
+  std::vector<FlowRecord> recs;
+  for (int i = 0; i < 100; ++i) {
+    FlowRecord r;
+    r.id = static_cast<net::FlowId>(i);
+    r.size_bytes = static_cast<std::uint64_t>(i % 10 + 1) * 1000;
+    r.ideal_fct = 1000;
+    r.fct = 1000 * (i + 1);
+    recs.push_back(r);
+  }
+  std::vector<FlowRecord> reversed(recs.rbegin(), recs.rend());
+  const auto rows = slowdown_by_size(recs, 3, 50.0);
+  const auto reversed_rows = slowdown_by_size(reversed, 3, 50.0);
+  ASSERT_EQ(rows.size(), 3u);
+  ASSERT_EQ(reversed_rows.size(), rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(reversed_rows[i].flow_count, rows[i].flow_count);
+    EXPECT_EQ(reversed_rows[i].max_size_bytes, rows[i].max_size_bytes);
+    EXPECT_DOUBLE_EQ(reversed_rows[i].slowdown, rows[i].slowdown);
+  }
+}
+
 TEST(SlowdownBySize, MoreGroupsThanRecordsDegradesGracefully) {
   const auto rows = slowdown_by_size(synthetic_records(3), 10, 50.0);
   EXPECT_EQ(rows.size(), 3u);

@@ -1,9 +1,8 @@
-"""fastcc_sarif: SARIF 2.1.0 emission shared by the fastcc analyzers.
+"""fastcc_sarif: SARIF 2.1.0 emission for fastcc-lint.
 
-Both in-house tools (fastcc-lint, fastcc-units) produce the same finding
-shape — (path, line, check-id, message) — so one emitter serves both.  The output targets GitHub code scanning via
-`github/codeql-action/upload-sarif`, which renders each result as an inline
-annotation on the PR diff.
+Each finding is a (path, line, check-id, message) tuple.  The output
+targets GitHub code scanning via `github/codeql-action/upload-sarif`, which
+renders each result as an inline annotation on the PR diff.
 
 Zero dependencies beyond CPython.  The emitter is deliberately minimal:
 one run per invocation, one rule per check id, `error` level for every

@@ -1,10 +1,9 @@
 #!/bin/sh
 # install-hooks.sh: installs the fastcc git pre-commit hook.
 #
-# The hook runs `tools/fastcc-analyze` over the staged src/ files (plus the
-# tree-wide declaration context fastcc-units always reads), about a second
-# for the whole tree.  A finding blocks the commit; fix it or add a reasoned
-# `// lint:allow(check -- reason)` and restage.
+# The hook runs `tools/fastcc-lint` over the staged src/ files, well under a
+# second for the whole tree.  A finding blocks the commit; fix it or add a
+# reasoned `// lint:allow(check -- reason)` and restage.
 # Bypass a single commit with `git commit --no-verify`.
 #
 # Usage: tools/install-hooks.sh [--dry-run]
@@ -16,8 +15,8 @@ hook_body() {
   cat <<'HOOK'
 #!/bin/sh
 # fastcc pre-commit hook (installed by tools/install-hooks.sh).
-# Runs the two fastcc analyzers on the staged src/ files; a finding
-# blocks the commit.  Bypass once with `git commit --no-verify`.
+# Runs fastcc-lint on the staged src/ files; a finding blocks the commit.
+# Bypass once with `git commit --no-verify`.
 set -u
 
 root=$(git rev-parse --show-toplevel) || exit 0
@@ -32,7 +31,7 @@ done
 [ -z "$files" ] && exit 0
 
 # shellcheck disable=SC2086  # word-splitting $files is intended
-exec python3 "$root/tools/fastcc-analyze" $files
+exec python3 "$root/tools/fastcc-lint" $files
 HOOK
 }
 
