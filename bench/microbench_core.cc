@@ -124,6 +124,34 @@ void BM_CalendarQueueCancelHeavy(benchmark::State& state) {
 }
 BENCHMARK(BM_CalendarQueueCancelHeavy)->Unit(benchmark::kMillisecond);
 
+// A datacenter run's two populations (the stream of CalendarQueue's
+// packed-day test): 4,000 flow starts queued up front a microsecond apart,
+// which calibrate a microsecond-scale day, and a wave of 1,000 packet
+// events in front of them, each re-arming 1-400 ns ahead, that would pack
+// such a day with ~1,000 entries.  300 us of it, ~1.5 M pops.
+void BM_CalendarQueueBimodal(benchmark::State& state) {
+  std::int64_t pops = 0;
+  for (auto _ : state) {
+    sim::CalendarQueue q;
+    bool wave = false;
+    for (int i = 0; i < 4000; ++i) {
+      q.schedule(i * sim::kMicrosecond, [&wave] { wave = false; });
+    }
+    for (int i = 0; i < 1000; ++i) q.schedule(i % 400, [&wave] { wave = true; });
+    std::uint64_t k = 0;
+    while (q.next_time() <= 300 * sim::kMicrosecond) {
+      const sim::Time now = q.pop_and_run();
+      ++pops;
+      if (wave) {
+        const sim::Time gap = 1 + static_cast<sim::Time>((k++ * 37) % 400);
+        q.schedule(now + gap, [&wave] { wave = true; });
+      }
+    }
+  }
+  state.SetItemsProcessed(pops);
+}
+BENCHMARK(BM_CalendarQueueBimodal)->Unit(benchmark::kMillisecond);
+
 void BM_SimulatorSelfRescheduling(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   for (auto _ : state) {

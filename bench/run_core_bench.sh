@@ -101,7 +101,7 @@ perf_to_obj() {
 }
 
 perf_wrap "$PERF_RAW" "$BIN" \
-  --benchmark_filter='RollingHorizon|CancelHeavy|ScheduleAndRun|SelfRescheduling|IncastEndToEnd|FatTreeEndToEnd|FatTreeFullScale|TimingWheel|Incast256|AckBatchDrain' \
+  --benchmark_filter='RollingHorizon|CancelHeavy|Bimodal|ScheduleAndRun|SelfRescheduling|IncastEndToEnd|FatTreeEndToEnd|FatTreeFullScale|TimingWheel|Incast256|AckBatchDrain' \
   --benchmark_repetitions=3 \
   --benchmark_format=json >"$RAW"
 

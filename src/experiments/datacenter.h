@@ -15,6 +15,11 @@
 
 namespace fastcc::exp {
 
+/// Both runners throw std::invalid_argument, naming the field, for a config
+/// they cannot run: a topology count or link bandwidth that is not positive
+/// and, when preset_flows is empty, no component, a null CDF, a
+/// load_fraction that is not positive, a load outside (0, 1] or a
+/// generate_duration that is not positive.
 struct DatacenterConfig {
   Variant variant = Variant::kHpcc;
   topo::FatTreeParams topo = topo::scaled_fat_tree();

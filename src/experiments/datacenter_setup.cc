@@ -1,7 +1,6 @@
 #include "experiments/datacenter_setup.h"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 #include <string>
 
@@ -13,6 +12,7 @@ namespace {
 /// factory sees the network.
 topo::FatTree build_configured_tree(net::Network& network,
                                     const DatacenterConfig& config) {
+  check_datacenter_config(config);  // before the tree is built from it
   topo::FatTree tree = build_fat_tree(network, config.topo);
   configure_switches(network, config.variant);
   return tree;
@@ -21,6 +21,20 @@ topo::FatTree build_configured_tree(net::Network& network,
 [[noreturn]] void reject(net::FlowId id, const std::string& what) {
   throw std::invalid_argument("preset flow " + std::to_string(id) + ": " +
                               what);
+}
+
+void require_positive(int count, const std::string& field) {
+  if (count <= 0) {
+    throw std::invalid_argument(field + " is " + std::to_string(count) +
+                                "; it must be positive");
+  }
+}
+
+void require_positive(double value, const std::string& field) {
+  if (!(value > 0)) {  // also refuses NaN
+    throw std::invalid_argument(field + " is " + std::to_string(value) +
+                                "; it must be positive");
+  }
 }
 
 /// The runners index tree.hosts by src and dst and key paths and records
@@ -50,12 +64,43 @@ void check_preset_flows(const std::vector<net::FlowSpec>& specs,
 
 }  // namespace
 
+void check_datacenter_config(const DatacenterConfig& config) {
+  const topo::FatTreeParams& t = config.topo;
+  require_positive(t.pods, "topo.pods");
+  require_positive(t.tors_per_pod, "topo.tors_per_pod");
+  require_positive(t.aggs_per_pod, "topo.aggs_per_pod");
+  require_positive(t.hosts_per_tor, "topo.hosts_per_tor");
+  require_positive(t.spine_group_size, "topo.spine_group_size");
+  require_positive(t.host_bandwidth, "topo.host_bandwidth");
+  require_positive(t.fabric_bandwidth, "topo.fabric_bandwidth");
+  if (!config.preset_flows.empty()) return;  // the draw's fields go unused
+  if (config.components.empty()) {
+    throw std::invalid_argument("components is empty; the draw needs one");
+  }
+  for (std::size_t i = 0; i < config.components.size(); ++i) {
+    const std::string field = "components[" + std::to_string(i) + "]";
+    if (config.components[i].cdf == nullptr) {
+      throw std::invalid_argument(field + ".cdf is null");
+    }
+    require_positive(config.components[i].load_fraction,
+                     field + ".load_fraction");
+  }
+  if (!(config.load > 0 && config.load <= 1)) {
+    throw std::invalid_argument("load is " + std::to_string(config.load) +
+                                "; it must lie in (0, 1]");
+  }
+  if (config.generate_duration <= 0) {
+    throw std::invalid_argument("generate_duration is " +
+                                std::to_string(config.generate_duration) +
+                                " ns; it must be positive");
+  }
+}
+
 DatacenterSetup::DatacenterSetup(const DatacenterConfig& config,
                                  sim::Simulator& simulator)
     : network_(simulator, config.seed),
       tree_(build_configured_tree(network_, config)),
       factory_(network_, config.variant, /*small_topology=*/false) {
-  assert(!config.components.empty() || !config.preset_flows.empty());
   if (!config.preset_flows.empty()) {
     check_preset_flows(config.preset_flows, tree_.hosts.size());
     specs_ = config.preset_flows;

@@ -22,12 +22,19 @@
 
 namespace fastcc::exp {
 
+/// Throws std::invalid_argument, naming the field, for a config the runners
+/// cannot run (the cases are listed on DatacenterConfig).  DatacenterSetup's
+/// constructor calls it first; run_datacenter_sharded calls it before
+/// sizing its shards by the topology.
+void check_datacenter_config(const DatacenterConfig& config);
+
 class DatacenterSetup {
  public:
   /// Builds the fat-tree on `simulator`, applies the variant's RED/PFC
   /// settings, creates the CC factory, and takes the flow specs from
   /// config.preset_flows or draws them from a fork of the network's Rng.
-  /// Throws std::invalid_argument, naming the flow id and the field, for a
+  /// Throws std::invalid_argument for a malformed config (see
+  /// check_datacenter_config) and, naming the flow id and the field, for a
   /// preset flow with a src or dst outside the tree, dst == src, size 0, a
   /// negative start time, or an id another preset flow already uses.
   DatacenterSetup(const DatacenterConfig& config, sim::Simulator& simulator);

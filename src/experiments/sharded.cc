@@ -194,6 +194,7 @@ bool plan_epoch(std::vector<std::unique_ptr<sim::Simulator>>& sims,
 DatacenterResult run_datacenter_sharded(const DatacenterConfig& config,
                                         int workers,
                                         ShardedRunStats* stats_out) {
+  check_datacenter_config(config);  // the topology sizes the shards
   const int shards =
       config.shard_granularity == topo::ShardGranularity::kTor
           ? config.topo.pods * config.topo.tors_per_pod

@@ -1,6 +1,7 @@
 #include "sim/calendar_queue.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cassert>
 #include <limits>
@@ -14,6 +15,7 @@ CalendarQueue::CalendarQueue(std::size_t initial_buckets, Time initial_width) {
   std::size_t n = 1;
   while (n < initial_buckets) n <<= 1;
   buckets_.resize(n);
+  horizon_ = lap_horizon(0);
 }
 
 void CalendarQueue::set_width(Time width) {
@@ -46,7 +48,7 @@ void CalendarQueue::extract_day(std::vector<Entry>& bucket, Time day_start,
   // tests day membership, and membership is an interval check against the
   // day's [start, end) window rather than a per-entry division.  In-day
   // entries move wholesale into today_; off-day entries (later laps of the
-  // wrapped bucket) stay put.
+  // wrapped bucket, within kCalendarLaps) stay put.
   for (std::size_t i = 0; i < bucket.size();) {
     if (pending_dead_ != 0 && !slots_.is_live(bucket[i].id)) {
       // Swap-with-back removal re-examines the swapped-in tail at index i.
@@ -62,13 +64,46 @@ void CalendarQueue::extract_day(std::vector<Entry>& bucket, Time day_start,
     }
     ++i;
   }
+  // A wave of events passing through grows every bucket it crosses; kept
+  // in place, that capacity would pin the wave's peak once per bucket, not
+  // once.  Handed on, it serves the buckets ahead of the wave instead, and
+  // steady states stay allocation-free.  A packed day's storage is freed.
+  if (bucket.empty() && bucket.capacity() != 0) {
+    if (bucket.capacity() <= kKeptBucketCapacity) {
+      spares_.emplace_back();
+      spares_.back().swap(bucket);
+    } else {
+      std::vector<Entry>().swap(bucket);
+    }
+  }
+}
+
+void CalendarQueue::advance_horizon(std::uint64_t day) {
+  const Time horizon = lap_horizon(day);
+  if (horizon <= horizon_) return;
+  horizon_ = horizon;
+  // Most far_ entries are retransmission timers, and most of those are
+  // cancelled (re-armed further out) before they come due: reclaim them in
+  // the same pass rather than move them into a bucket to be reclaimed there.
+  for (std::size_t i = 0; i < far_.size();) {
+    if (pending_dead_ != 0 && !slots_.is_live(far_[i].id)) {
+      reclaim_at(far_, i);
+    } else if (far_[i].at < horizon_) {
+      push(buckets_[bucket_of(far_[i].at)], far_[i]);
+      far_[i] = far_.back();
+      far_.pop_back();
+    } else {
+      ++i;
+    }
+  }
 }
 
 void CalendarQueue::sort_today() {
   // A day holds a handful of entries (the width calibration targets ~3x the
-  // median inter-event gap), so the common case is a 2-8 element sort where
+  // median gap at the head, and refill_today() recalibrates once days pack
+  // past kPackedDay), so the common case is a 2-8 element sort where
   // std::sort's introsort dispatch costs more than the work itself.  Plain
-  // binary-insertion for short days, std::sort beyond.
+  // insertion for short days, std::sort beyond.
   const auto by_time_fifo = [](const Entry& a, const Entry& b) {
     return a.at != b.at ? a.at < b.at : a.seq < b.seq;
   };
@@ -88,12 +123,35 @@ void CalendarQueue::sort_today() {
 }
 
 void CalendarQueue::refill_today() {
-  assert(!today_active_ && today_.empty() && today_pos_ == 0);
-  assert(slots_.live() > 0);
   // Pops never shrink the table themselves (a per-pop check taxes the hot
   // path for a rare transition); the population-shrink side of the resize
   // heuristic runs here, once per extracted day.
   maybe_resize();
+  while (true) {
+    extract_next_day();
+    extracted_ += today_.size();
+    // A resize recalibrates only when the live count leaves the 2x/(1/4)
+    // band, and a population that sets the width (flow starts queued up
+    // front, microseconds apart) can hold the count inside it while a
+    // denser one (the packets those flows send) packs every day with
+    // hundreds of entries.  A packed day spanning several timestamps asks
+    // the head for its width, at most once per `live` extracted entries;
+    // one entry per timestamp is the only day a narrower width splits.
+    // Where the head is as dense as the day (every timestamp is shared by
+    // several entries), it calibrates no narrower and nothing is rebuilt.
+    if (today_.size() <= kPackedDay || today_.front().at == today_.back().at ||
+        extracted_ < slots_.live()) {
+      return;
+    }
+    extracted_ = 0;
+    if (head_width() >= width_) return;
+    rebuild(buckets_.size());
+  }
+}
+
+void CalendarQueue::extract_next_day() {
+  assert(!today_active_ && today_.empty() && today_pos_ == 0);
+  assert(slots_.live() > 0);
   const std::size_t mask = buckets_.size() - 1;
   // Phase 1: walk day-by-day from the last popped timestamp; the first day
   // holding a live event is extracted wholesale.  Every entry outside the
@@ -101,6 +159,7 @@ void CalendarQueue::refill_today() {
   // inside it, so the extracted-and-sorted array is a prefix of the global
   // pop order.
   std::uint64_t day = static_cast<std::uint64_t>(last_popped_) >> width_shift_;
+  advance_horizon(day);
   for (std::size_t step = 0; step < buckets_.size(); ++step, ++day) {
     const Time day_start = static_cast<Time>(day << width_shift_);
     extract_day(buckets_[static_cast<std::size_t>(day) & mask], day_start,
@@ -114,26 +173,25 @@ void CalendarQueue::refill_today() {
     }
   }
   // Phase 2 (sparse population): the next event lies beyond one full lap of
-  // days.  Scan everything for the global minimum, then extract its day.
-  constexpr std::size_t npos = static_cast<std::size_t>(-1);
-  std::size_t min_b = npos, min_i = 0;
-  for (std::size_t bi = 0; bi < buckets_.size(); ++bi) {
-    drop_dead(buckets_[bi]);
-    for (std::size_t i = 0; i < buckets_[bi].size(); ++i) {
-      const Entry& e = buckets_[bi][i];
-      if (min_b == npos || e.at < buckets_[min_b][min_i].at ||
-          (e.at == buckets_[min_b][min_i].at &&
-           e.seq < buckets_[min_b][min_i].seq)) {
-        min_b = bi;
-        min_i = i;
-      }
-    }
+  // days.  Scan the buckets for the earliest entry; every far_ entry is later
+  // than all of them.  With the buckets empty, jump the calendar to the
+  // earliest far_ entry, which moves it (and its lap) into the buckets.
+  Time earliest = std::numeric_limits<Time>::max();
+  for (auto& bucket : buckets_) {
+    drop_dead(bucket);
+    for (const Entry& e : bucket) earliest = std::min(earliest, e.at);
   }
-  assert(min_b != npos);
+  if (earliest == std::numeric_limits<Time>::max()) {
+    drop_dead(far_);
+    assert(!far_.empty());
+    for (const Entry& e : far_) earliest = std::min(earliest, e.at);
+    advance_horizon(static_cast<std::uint64_t>(earliest) >> width_shift_);
+  }
   const std::uint64_t min_day =
-      static_cast<std::uint64_t>(buckets_[min_b][min_i].at) >> width_shift_;
+      static_cast<std::uint64_t>(earliest) >> width_shift_;
   const Time day_start = static_cast<Time>(min_day << width_shift_);
-  extract_day(buckets_[min_b], day_start, day_start + width_);
+  extract_day(buckets_[static_cast<std::size_t>(min_day) & mask], day_start,
+              day_start + width_);
   assert(!today_.empty());
   sort_today();
   today_start_ = day_start;
@@ -164,6 +222,15 @@ const CalendarQueue::Entry* CalendarQueue::peek_front() {
 }
 
 void CalendarQueue::insert_today(const Entry& e) {
+  if (today_.size() == today_.capacity() && today_pos_ >= today_.size() / 2) {
+    // Growing would keep the drained prefix, sizing today_ by how many
+    // events a day has run rather than how many it holds.  Dropping the
+    // prefix instead moves at most half the array, and frees at least half
+    // of it for the inserts to come.
+    today_.erase(today_.begin(),
+                 today_.begin() + static_cast<std::ptrdiff_t>(today_pos_));
+    today_pos_ = 0;
+  }
   // Upper-bound by timestamp over the undrained region: the new entry holds
   // the largest seq issued, so FIFO order among equal timestamps is exactly
   // "after every existing equal entry".
@@ -188,7 +255,7 @@ void CalendarQueue::insert_today(const Entry& e) {
 
 void CalendarQueue::flush_today() {
   for (std::size_t i = today_pos_; i < today_.size(); ++i) {
-    buckets_[bucket_of(today_[i].at)].push_back(today_[i]);
+    push(buckets_[bucket_of(today_[i].at)], today_[i]);
   }
   today_.clear();
   today_pos_ = 0;
@@ -211,56 +278,106 @@ Time CalendarQueue::pop_and_run() {
   return at;
 }
 
+std::size_t CalendarQueue::reserved_entries() const {
+  std::size_t reserved = today_.capacity() + far_.capacity();
+  for (const auto& bucket : buckets_) reserved += bucket.capacity();
+  for (const auto& spare : spares_) reserved += spare.capacity();
+  return reserved;
+}
+
+Time CalendarQueue::head_width() {
+  // The width comes from the median *non-zero* gap among the earliest
+  // entries — the ones the next days will hold (Brown, CACM 1988).  The
+  // whole population's spacing describes the far future instead: flow
+  // starts queued microseconds apart set a microsecond day that the packet
+  // events in front of them then pack by the thousand.  The mean,
+  // (max - min) / n, would be worse still: a few far-future retransmit
+  // timers stretch the range.  Zero gaps (events sharing a timestamp) are
+  // excluded: they carry no width information — simultaneous events land in
+  // the same day at *any* width — yet a synchronized burst (an incast
+  // start, a barrier of flow arrivals) can make them the majority, dragging
+  // the median to zero and the width to a single nanosecond, at which point
+  // every refill walks hundreds of empty days.  The 3x factor targets a few
+  // events per day.
+  //
+  // The earliest entries are today_'s, then those of the days after it in
+  // order, so walking days until kHeadSample are in hand collects a superset
+  // of them at a cost proportional to the sample, not the population.  Only
+  // a population sparser than kHeadSample per lap falls back to a full pass.
+  head_times_.clear();
+  const auto take = [this](const Entry& e) {
+    if (pending_dead_ == 0 || slots_.is_live(e.id)) head_times_.push_back(e.at);
+  };
+  for (std::size_t i = today_pos_; i < today_.size(); ++i) take(today_[i]);
+  std::uint64_t day =
+      static_cast<std::uint64_t>(today_active_ ? today_end_ : last_popped_) >>
+      width_shift_;
+  const std::size_t mask = buckets_.size() - 1;
+  for (std::size_t step = 0;
+       step < buckets_.size() && head_times_.size() < kHeadSample;
+       ++step, ++day) {
+    const Time day_start = static_cast<Time>(day << width_shift_);
+    for (const Entry& e : buckets_[static_cast<std::size_t>(day) & mask]) {
+      if (e.at >= day_start && e.at < day_start + width_) take(e);
+    }
+  }
+  if (head_times_.size() < kHeadSample) {
+    head_times_.clear();
+    for (std::size_t i = today_pos_; i < today_.size(); ++i) take(today_[i]);
+    for (const auto& bucket : buckets_) {
+      for (const Entry& e : bucket) take(e);
+    }
+    for (const Entry& e : far_) take(e);
+  }
+  const auto head = head_times_.begin();
+  const std::size_t n = std::min(head_times_.size(), kHeadSample);
+  if (head_times_.size() > n) {
+    std::nth_element(head, head + static_cast<std::ptrdiff_t>(n),
+                     head_times_.end());
+  }
+  std::sort(head, head + static_cast<std::ptrdiff_t>(n));
+  std::array<Time, kHeadSample> gaps;
+  std::size_t gap_count = 0;
+  for (std::size_t i = 1; i < n; ++i) {
+    if (head_times_[i] != head_times_[i - 1]) {
+      gaps[gap_count++] = head_times_[i] - head_times_[i - 1];
+    }
+  }
+  if (gap_count == 0) return width_;
+  const auto mid = gaps.begin() + static_cast<std::ptrdiff_t>(gap_count / 2);
+  std::nth_element(gaps.begin(),
+                   mid, gaps.begin() + static_cast<std::ptrdiff_t>(gap_count));
+  return static_cast<Time>(
+      std::bit_ceil(static_cast<std::uint64_t>(3 * *mid)));
+}
+
 void CalendarQueue::rebuild(std::size_t new_bucket_count) {
   // Entries relocate wholesale, so the active day (whose invariant is
   // "nothing of this day lives in a bucket") must be dissolved first.
   if (today_active_) flush_today();
+  set_width(head_width());
   std::vector<Entry> all;
   all.reserve(slots_.live());
-  Time min_t = std::numeric_limits<Time>::max();
-  Time max_t = std::numeric_limits<Time>::min();
   for (auto& bucket : buckets_) {
     drop_dead(bucket);
-    for (const Entry& e : bucket) {
-      min_t = std::min(min_t, e.at);
-      max_t = std::max(max_t, e.at);
-      all.push_back(e);
-    }
-    bucket.clear();
+    all.insert(all.end(), bucket.begin(), bucket.end());
   }
+  drop_dead(far_);
+  all.insert(all.end(), far_.begin(), far_.end());
+  far_.clear();
   buckets_.clear();
   buckets_.resize(new_bucket_count);
-  // Recalibrate the day width from the median *non-zero* inter-event gap.
-  // The mean, (max - min) / n, collapses under the bimodal mix real
-  // simulations produce — dense near-term packet events plus a few
-  // far-future retransmit timers — because the outliers stretch the range
-  // and every near-term event lands in one bucket, degrading pops to linear
-  // scans.  Zero gaps (events sharing a timestamp) are excluded: they carry
-  // no width information — simultaneous events land in the same day at
-  // *any* width — yet a synchronized burst (an incast start, a barrier of
-  // flow arrivals) can make them the majority, dragging the median to zero
-  // and the width to a single nanosecond, at which point every refill walks
-  // hundreds of empty days.  The 3x factor targets a few events per day
-  // (Brown, CACM 1988).
-  if (all.size() > 1 && max_t > min_t) {
-    std::vector<Time> times;
-    times.reserve(all.size());
-    for (const Entry& e : all) times.push_back(e.at);
-    std::sort(times.begin(), times.end());
-    std::vector<Time> gaps;
-    gaps.reserve(times.size() - 1);
-    for (std::size_t i = 1; i < times.size(); ++i) {
-      if (times[i] != times[i - 1]) gaps.push_back(times[i] - times[i - 1]);
-    }
-    if (!gaps.empty()) {
-      const std::size_t mid = gaps.size() / 2;
-      std::nth_element(gaps.begin(), gaps.begin() + mid, gaps.end());
-      set_width(3 * gaps[mid]);
-    }
-  }
+  spares_.clear();
+  horizon_ = lap_horizon(static_cast<std::uint64_t>(last_popped_) >>
+                         width_shift_);
   for (const Entry& e : all) {
-    buckets_[bucket_of(e.at)].push_back(e);
+    if (e.at < horizon_) {
+      buckets_[bucket_of(e.at)].push_back(e);
+    } else {
+      far_.push_back(e);
+    }
   }
+  extracted_ = 0;
 }
 
 }  // namespace fastcc::sim

@@ -6,10 +6,24 @@
 // hash into "day" buckets by timestamp.  Events at equal timestamps pop in
 // insertion order; property tests pin the pop sequence to a sorted
 // reference.  The bucket count doubles/halves as the population grows/
-// shrinks, and the bucket width is recalibrated from the observed inter-event
-// spacing on each resize.  Cancellation uses a generation-stamped slot pool
+// shrinks.  Cancellation uses a generation-stamped slot pool
 // (EventSlotPool), which also owns the callbacks, so buckets hold only
 // 24-byte entries and schedule/pop never touch a hash set.
+//
+// Sizing follows the head of the queue, not the whole population.  Every
+// rebuild calibrates the day width from the earliest entries (Brown's
+// sample), and a packed day asks the head again, rebuilding at the same
+// bucket count when it would calibrate a narrower day: a population that
+// set the width (flow starts queued up front, microseconds apart) can hold
+// the live count inside the resize band while a denser one in front of it
+// (the packets those flows send) would otherwise pack every day with
+// hundreds of entries.  Storage follows the live entries too.  Only entries
+// due within kCalendarLaps laps of the calendar live in buckets; later ones
+// wait unsorted in `far_` and move in once per lap.  A bucket a day
+// extraction empties hands its storage to the next bucket that needs some
+// (or frees it, past kKeptBucketCapacity).  So a dense wave passing through
+// every bucket leaves neither its peak capacity behind in each of them nor
+// far-future residents pinning it there.
 //
 // Popping batch-extracts one day at a time.  A scan that locates the
 // earliest day used to yield a single event and throw the rest of its work
@@ -22,6 +36,7 @@
 // walk, no day-membership filtering, no min-tracking.
 #pragma once
 
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <vector>
@@ -68,19 +83,23 @@ class CalendarQueue {
         flush_today();
       }
     }
-    buckets_[bucket_of(at)].push_back(Entry{at, seq, id});
+    if (at < horizon_) {
+      push(buckets_[bucket_of(at)], Entry{at, seq, id});
+    } else {
+      far_.push_back(Entry{at, seq, id});
+    }
     maybe_resize();
     return id;
   }
 
   bool cancel(Id id) {
-    // The slot pool answers in O(1); the ordering entry — in a bucket or in
-    // today_ — is reclaimed lazily the next time a scan or the drain cursor
-    // passes over it.  `pending_dead_` counts exactly those physically-
-    // present-but-cancelled entries, so scans skip the per-entry liveness
-    // lookup entirely while the count is zero — the overwhelmingly common
-    // state, since simulations cancel timers rarely (a retransmission timer
-    // on flow completion) but pop constantly.
+    // The slot pool answers in O(1); the ordering entry — in a bucket, in
+    // far_ or in today_ — is reclaimed lazily the next time a scan or the
+    // drain cursor passes over it.  `pending_dead_` counts exactly those
+    // physically-present-but-cancelled entries, so scans skip the per-entry
+    // liveness lookup entirely while the count is zero — the overwhelmingly
+    // common state, since simulations cancel timers rarely (a retransmission
+    // timer on flow completion) but pop constantly.
     if (!slots_.cancel(id)) return false;
     ++pending_dead_;
     return true;
@@ -88,6 +107,10 @@ class CalendarQueue {
 
   bool empty() const { return slots_.live() == 0; }
   std::size_t size() const { return slots_.live(); }
+
+  /// Entries of storage held for ordering: the summed capacity of the
+  /// buckets, today_, far_ and the spare bucket storage.
+  std::size_t reserved_entries() const;
 
   /// Timestamp of the earliest live event.  Precondition: !empty().
   Time next_time();
@@ -138,17 +161,45 @@ class CalendarQueue {
   /// skipping over cancelled entries; nullptr when no live event exists.
   const Entry* peek_front();
 
-  /// Locates the earliest day holding a live event and moves its entries
-  /// out of the buckets into today_, sorted by (time, seq).  Precondition:
-  /// at least one live event exists and today_ is inactive.
+  /// Extracts the next day into today_ (extract_next_day()), and when that
+  /// day is packed and the head of the queue calibrates a narrower one,
+  /// rebuilds at the same bucket count and extracts again.  Precondition: at
+  /// least one live event exists and today_ is inactive.
   void refill_today();
+
+  /// Locates the earliest day holding a live event and moves its entries
+  /// out of the buckets into today_, sorted by (time, seq).  Same
+  /// precondition as refill_today().
+  void extract_next_day();
+
+  /// The end of the lap kCalendarLaps laps after the one holding `day`.
+  Time lap_horizon(std::uint64_t day) const {
+    const int lap_shift = std::countr_zero(buckets_.size());
+    return static_cast<Time>(((day >> lap_shift) + kCalendarLaps)
+                             << (lap_shift + width_shift_));
+  }
+
+  /// Raises horizon_ to lap_horizon(day), if that is later, moving the far_
+  /// entries it now covers into their buckets.
+  void advance_horizon(std::uint64_t day);
+
+  /// Appends to a bucket, taking spare storage first if it has none.
+  void push(std::vector<Entry>& bucket, const Entry& e) {
+    if (bucket.capacity() == 0 && !spares_.empty()) {
+      bucket.swap(spares_.back());
+      spares_.pop_back();
+    }
+    bucket.push_back(e);
+  }
 
   /// Sorts today_ by (time, seq): insertion sort for the common short day,
   /// std::sort beyond.
   void sort_today();
 
   /// Moves every in-day entry of `bucket` into today_ (swap-with-back
-  /// removal), reclaiming cancelled entries it passes over.
+  /// removal), reclaiming cancelled entries it passes over.  A bucket left
+  /// empty gives its storage to spares_, or frees it past
+  /// kKeptBucketCapacity.
   void extract_day(std::vector<Entry>& bucket, Time day_start, Time day_end);
 
   /// Sorted insert into the undrained region of today_ (see schedule()).
@@ -172,6 +223,22 @@ class CalendarQueue {
   void drop_dead(std::vector<Entry>& bucket);
   /// Sets width_ to the power of two at or above `width` (and width_shift_).
   void set_width(Time width);
+  /// The power-of-two width the head of the queue calibrates: 3x the median
+  /// non-zero gap among the earliest kHeadSample live entries, or width_
+  /// when they share one timestamp.
+  Time head_width();
+
+  /// Entries sampled from the head of the queue to calibrate the width.
+  static constexpr std::size_t kHeadSample = 256;
+  /// A day holding more entries than this is packed (refill_today()).
+  static constexpr std::size_t kPackedDay = 32;
+  /// Bucket storage above this many entries is freed, not kept as a spare.
+  static constexpr std::size_t kKeptBucketCapacity = 64;
+  /// Laps of the calendar (bucket count x width), counting from the one
+  /// being drained, whose entries live in buckets.  At least two, since a
+  /// day walk from the cursor runs a full lap into the next; a few more
+  /// place a timer a few laps out once instead of moving it later.
+  static constexpr std::uint64_t kCalendarLaps = 4;
 
   /// Reclaims the cancelled entry at bucket[i] (swap-with-back removal).
   /// Physical order within a bucket is irrelevant: min selection is by
@@ -190,13 +257,30 @@ class CalendarQueue {
   Time last_popped_ = 0;
   std::uint64_t next_seq_ = 0;
   std::size_t pending_dead_ = 0;  ///< Cancelled entries not yet reclaimed.
+  /// Entries extracted into today_ since the last rebuild or packed-day
+  /// check; a check runs only once the whole population could have been
+  /// drained, so even a calibration over the whole population is amortized
+  /// over the extractions.
+  std::size_t extracted_ = 0;
+  /// Scratch for head_width(), kept so a declined check does not allocate.
+  std::vector<Time> head_times_;
+
+  /// Every bucket entry fires before horizon_, a lap boundary; every far_
+  /// entry at or after it.  far_ is unsorted: it is scanned when horizon_
+  /// moves (once per lap) and when the buckets run dry.
+  Time horizon_ = 0;
+  std::vector<Entry> far_;
+  /// Storage emptied buckets gave up, handed to the next bucket needing some.
+  std::vector<std::vector<Entry>> spares_;
 
   /// The day being drained.  While `today_active_`, every entry of the day
   /// [today_start_, today_end_) lives in today_ (never in a bucket), the
   /// region [today_pos_, size) is sorted ascending by (at, seq), and every
   /// bucket entry fires at or after today_end_ — so today_[today_pos_] is
   /// the global minimum.  The array reaches steady-state capacity and is
-  /// then reused allocation-free, like every other pop-path structure.
+  /// then reused allocation-free, like every other pop-path structure; that
+  /// capacity follows the entries a day holds, not the events it runs, as
+  /// insert_today() drops the drained prefix before it grows.
   std::vector<Entry> today_;
   std::size_t today_pos_ = 0;
   Time today_start_ = 0;

@@ -179,5 +179,85 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(row.param.name);
     });
 
+// ---- Malformed configs ----
+
+struct BadConfig {
+  const char* name;
+  void (*spoil)(DatacenterConfig&);
+  const char* field;  ///< The error must begin with this field's name.
+};
+
+void PrintTo(const BadConfig& b, std::ostream* os) { *os << b.name; }
+
+class ConfigRejection : public ::testing::TestWithParam<BadConfig> {};
+
+TEST_P(ConfigRejection, BothRunnersThrowNamingTheField) {
+  const BadConfig& bad = GetParam();
+  DatacenterConfig c = tiny_config(Variant::kHpcc);
+  c.max_sim_time = sim::kMillisecond;  // bounds a run that should not start
+  bad.spoil(c);
+  const std::string expected = std::string(bad.field) + " ";
+  for (const bool sharded : {false, true}) {
+    SCOPED_TRACE(sharded ? "sharded" : "serial");
+    try {
+      if (sharded) {
+        run_datacenter_sharded(c, 2);
+      } else {
+        run_datacenter(c);
+      }
+      ADD_FAILURE() << "no std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()).rfind(expected, 0), 0u) << e.what();
+    }
+  }
+}
+
+// Without the check, the zero counts and the null CDF crash, a negative load
+// generates arrivals until memory runs out, a zero fabric bandwidth strands
+// flows unfinished, and the other zeros run an empty workload to the cap.
+INSTANTIATE_TEST_SUITE_P(
+    Rows, ConfigRejection,
+    ::testing::Values(
+        BadConfig{"ZeroPods", [](DatacenterConfig& c) { c.topo.pods = 0; },
+                  "topo.pods"},
+        BadConfig{"NegativeTorsPerPod",
+                  [](DatacenterConfig& c) { c.topo.tors_per_pod = -1; },
+                  "topo.tors_per_pod"},
+        BadConfig{"ZeroAggsPerPod",
+                  [](DatacenterConfig& c) { c.topo.aggs_per_pod = 0; },
+                  "topo.aggs_per_pod"},
+        BadConfig{"ZeroHostsPerTor",
+                  [](DatacenterConfig& c) { c.topo.hosts_per_tor = 0; },
+                  "topo.hosts_per_tor"},
+        BadConfig{"ZeroSpineGroupSize",
+                  [](DatacenterConfig& c) { c.topo.spine_group_size = 0; },
+                  "topo.spine_group_size"},
+        BadConfig{"ZeroHostBandwidth",
+                  [](DatacenterConfig& c) { c.topo.host_bandwidth = 0; },
+                  "topo.host_bandwidth"},
+        BadConfig{"ZeroFabricBandwidth",
+                  [](DatacenterConfig& c) { c.topo.fabric_bandwidth = 0; },
+                  "topo.fabric_bandwidth"},
+        BadConfig{"NoComponent",
+                  [](DatacenterConfig& c) { c.components.clear(); },
+                  "components"},
+        BadConfig{"NullCdf",
+                  [](DatacenterConfig& c) { c.components[0].cdf = nullptr; },
+                  "components[0].cdf"},
+        BadConfig{"ZeroLoadFraction",
+                  [](DatacenterConfig& c) { c.components[0].load_fraction = 0; },
+                  "components[0].load_fraction"},
+        BadConfig{"ZeroLoad", [](DatacenterConfig& c) { c.load = 0; }, "load"},
+        BadConfig{"NegativeLoad", [](DatacenterConfig& c) { c.load = -0.5; },
+                  "load"},
+        BadConfig{"LoadAboveOne", [](DatacenterConfig& c) { c.load = 1.5; },
+                  "load"},
+        BadConfig{"ZeroGenerateDuration",
+                  [](DatacenterConfig& c) { c.generate_duration = 0; },
+                  "generate_duration"}),
+    [](const ::testing::TestParamInfo<BadConfig>& row) {
+      return std::string(row.param.name);
+    });
+
 }  // namespace
 }  // namespace fastcc::exp
