@@ -23,14 +23,8 @@ topo::FatTree build_configured_tree(net::Network& network,
                               what);
 }
 
-void require_positive(int count, const std::string& field) {
-  if (count <= 0) {
-    throw std::invalid_argument(field + " is " + std::to_string(count) +
-                                "; it must be positive");
-  }
-}
-
-void require_positive(double value, const std::string& field) {
+template <typename T>
+void require_positive(T value, const std::string& field) {
   if (!(value > 0)) {  // also refuses NaN
     throw std::invalid_argument(field + " is " + std::to_string(value) +
                                 "; it must be positive");
@@ -93,6 +87,29 @@ void check_datacenter_config(const DatacenterConfig& config) {
     throw std::invalid_argument("generate_duration is " +
                                 std::to_string(config.generate_duration) +
                                 " ns; it must be positive");
+  }
+}
+
+void check_incast_config(const IncastConfig& config) {
+  require_positive(config.pattern.senders, "pattern.senders");
+  require_positive(config.pattern.flow_bytes, "pattern.flow_bytes");
+  require_positive(config.pattern.flows_per_wave, "pattern.flows_per_wave");
+  if (config.star.host_count < config.pattern.senders + 1) {
+    throw std::invalid_argument(
+        "star.host_count is " + std::to_string(config.star.host_count) +
+        "; it must be at least pattern.senders + 1 (" +
+        std::to_string(config.pattern.senders + 1) + ")");
+  }
+  require_positive(config.star.host_bandwidth, "star.host_bandwidth");
+  // The samplers re-arm one interval later: a zero interval never advances.
+  require_positive(config.jain_sample_interval, "jain_sample_interval");
+  require_positive(config.queue_sample_interval, "queue_sample_interval");
+  const std::uint64_t packet = net::kDefaultMtu + net::kHeaderBytes;
+  if (config.buffer_limit_bytes > 0 && config.buffer_limit_bytes < packet) {
+    throw std::invalid_argument(
+        "buffer_limit_bytes is " + std::to_string(config.buffer_limit_bytes) +
+        "; it must be 0 (unlimited) or hold one " + std::to_string(packet) +
+        " B packet");
   }
 }
 

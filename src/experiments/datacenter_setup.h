@@ -1,4 +1,5 @@
-// Set-up shared by the two datacenter runners (internal to experiments/).
+// Set-up shared by the two datacenter runners, and the config checks of
+// every runner (internal to experiments/).
 //
 // run_datacenter() and run_datacenter_sharded() build the same experiment:
 // the fat-tree, the variant's RED/PFC settings, the congestion-control
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "experiments/datacenter.h"
+#include "experiments/incast.h"
 #include "net/network.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
@@ -27,6 +29,13 @@ namespace fastcc::exp {
 /// constructor calls it first; run_datacenter_sharded calls it before
 /// sizing its shards by the topology.
 void check_datacenter_config(const DatacenterConfig& config);
+
+/// Throws std::invalid_argument, naming the field, for an incast run_incast
+/// cannot run: no sender, a 0-byte flow, no flow per wave, a star with
+/// fewer than senders + 1 hosts, a link bandwidth or sample interval that
+/// is not positive, or a buffer cap below one packet.  run_incast calls it
+/// first.
+void check_incast_config(const IncastConfig& config);
 
 class DatacenterSetup {
  public:

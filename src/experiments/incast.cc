@@ -4,12 +4,14 @@
 #include <cassert>
 #include <functional>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "stats/percentile.h"
 
 #include "core/fairness.h"
+#include "experiments/datacenter_setup.h"
 #include "net/monitor.h"
 #include "net/network.h"
 #include "sim/simulator.h"
@@ -41,12 +43,12 @@ sim::Time IncastResult::finish_spread() const {
 }
 
 IncastResult run_incast(const IncastConfig& config) {
+  check_incast_config(config);  // before the star is built from it
   sim::Simulator simulator;
   net::Network network(simulator, config.seed);
   topo::StarParams star_params = config.star;
   if (config.probe_count > 0) ++star_params.host_count;  // the prober
   topo::Star star = build_star(network, star_params);
-  assert(static_cast<int>(star.hosts.size()) >= config.pattern.senders + 1);
 
   configure_switches(network, config.variant);
   if (config.buffer_limit_bytes > 0) {
@@ -219,8 +221,13 @@ IncastResult run_incast(const IncastConfig& config) {
   util.start();
 
   simulator.run(config.max_sim_time);
+  if (completed < total) {
+    throw std::runtime_error(
+        "incast: " + std::to_string(total - completed) + " of " +
+        std::to_string(total) + " flows unfinished at max_sim_time (" +
+        std::to_string(config.max_sim_time) + " ns)");
+  }
   result.utilization = util.series();
-  assert(completed == total && "incast did not complete within the time cap");
 
   std::sort(result.flows.begin(), result.flows.end(),
             [](const FlowTiming& a, const FlowTiming& b) {

@@ -19,6 +19,10 @@
 
 namespace fastcc::exp {
 
+/// run_incast throws std::invalid_argument, naming the field, for a config
+/// it cannot run (the cases are listed on check_incast_config), and
+/// std::runtime_error, naming the count, when flows are still unfinished at
+/// max_sim_time.
 struct IncastConfig {
   Variant variant = Variant::kHpcc;
   workload::IncastPattern pattern;        ///< Defaults: 16-1, 1 MB, 2/20 us.

@@ -1,6 +1,11 @@
 #include "experiments/parallel.h"
 
+#include <algorithm>
 #include <atomic>
+#include <exception>
+#include <mutex>
+#include <thread>
+#include <vector>
 
 namespace fastcc::exp {
 
@@ -17,11 +22,21 @@ void parallel_for_index(std::size_t count, unsigned max_threads,
     return;
   }
   std::atomic<std::size_t> next{0};
+  std::mutex error_mu;
+  std::exception_ptr error;  // the first exception fn threw; guarded
   auto work = [&] {
     while (true) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= count) return;
-      fn(i);
+      try {
+        fn(i);
+      } catch (...) {
+        // An exception must not escape a thread's entry function: keep it
+        // for the caller, and stop handing out indices.
+        const std::lock_guard<std::mutex> lock(error_mu);
+        if (!error) error = std::current_exception();
+        next.store(count, std::memory_order_relaxed);
+      }
     }
   };
   // The calling thread is worker 0: spawn only workers - 1 threads and run
@@ -32,15 +47,7 @@ void parallel_for_index(std::size_t count, unsigned max_threads,
   for (unsigned w = 1; w < workers; ++w) pool.emplace_back(work);
   work();
   for (std::thread& t : pool) t.join();
-}
-
-std::vector<IncastResult> run_incast_parallel(
-    const std::vector<IncastConfig>& configs, unsigned max_threads) {
-  std::vector<IncastResult> results(configs.size());
-  parallel_for_index(configs.size(), max_threads, [&](std::size_t i) {
-    results[i] = run_incast(configs[i]);
-  });
-  return results;
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace fastcc::exp

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <stdexcept>
+#include <string>
+
 namespace fastcc::exp {
 namespace {
 
@@ -184,6 +188,80 @@ TEST_F(PaperScale, VaiSfCutsUnfairnessDebt) {
   const IncastResult vai_sf = run_variant(Variant::kHpccVaiSf);
   EXPECT_LT(vai_sf.convergence().unfairness_integral_ns * 3,
             base.convergence().unfairness_integral_ns);
+}
+
+// A config run_incast cannot run is refused before the star is built, with
+// an error that begins with the field's name.
+struct BadIncast {
+  const char* name;
+  void (*spoil)(IncastConfig&);
+  const char* field;
+};
+
+void PrintTo(const BadIncast& b, std::ostream* os) { *os << b.name; }
+
+class IncastConfigRejection : public ::testing::TestWithParam<BadIncast> {};
+
+TEST_P(IncastConfigRejection, RunIncastThrowsNamingTheField) {
+  IncastConfig c;  // the default 16-1 incast
+  GetParam().spoil(c);
+  try {
+    run_incast(c);
+    ADD_FAILURE() << "no std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string expected = std::string(GetParam().field) + " ";
+    EXPECT_EQ(std::string(e.what()).rfind(expected, 0), 0u) << e.what();
+  }
+}
+
+// Without the check, under -O2 -DNDEBUG, the host, sender, size, bandwidth
+// and buffer rows segfault, the zero wave size raises SIGFPE, and the zero
+// sample intervals never return (the sampler re-arms at the same instant).
+INSTANTIATE_TEST_SUITE_P(
+    Rows, IncastConfigRejection,
+    ::testing::Values(
+        BadIncast{"StarSmallerThanSenders",
+                  [](IncastConfig& c) { c.star.host_count = 8; },
+                  "star.host_count"},
+        BadIncast{"ZeroSenders",
+                  [](IncastConfig& c) { c.pattern.senders = 0; },
+                  "pattern.senders"},
+        BadIncast{"NegativeSenders",
+                  [](IncastConfig& c) { c.pattern.senders = -1; },
+                  "pattern.senders"},
+        BadIncast{"ZeroFlowBytes",
+                  [](IncastConfig& c) { c.pattern.flow_bytes = 0; },
+                  "pattern.flow_bytes"},
+        BadIncast{"ZeroHostBandwidth",
+                  [](IncastConfig& c) { c.star.host_bandwidth = 0; },
+                  "star.host_bandwidth"},
+        BadIncast{"BufferBelowOnePacket",
+                  [](IncastConfig& c) { c.buffer_limit_bytes = 500; },
+                  "buffer_limit_bytes"},
+        BadIncast{"ZeroFlowsPerWave",
+                  [](IncastConfig& c) { c.pattern.flows_per_wave = 0; },
+                  "pattern.flows_per_wave"},
+        BadIncast{"ZeroJainSampleInterval",
+                  [](IncastConfig& c) { c.jain_sample_interval = 0; },
+                  "jain_sample_interval"},
+        BadIncast{"ZeroQueueSampleInterval",
+                  [](IncastConfig& c) { c.queue_sample_interval = 0; },
+                  "queue_sample_interval"}),
+    [](const ::testing::TestParamInfo<BadIncast>& row) {
+      return std::string(row.param.name);
+    });
+
+TEST(IncastExperiment, UnfinishedAtTheCapThrowsNamingTheCount) {
+  IncastConfig c;
+  c.max_sim_time = 100 * sim::kMicrosecond;  // no 1 MB flow is done by then
+  try {
+    run_incast(c);
+    ADD_FAILURE() << "no std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("16 of 16 flows unfinished"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

@@ -2,12 +2,18 @@
 // ordered like the inputs, for any worker count.
 #include "experiments/parallel.h"
 
+#include "experiments/incast.h"
+
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <set>
 #include <mutex>
+#include <set>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
 
 namespace fastcc::exp {
 namespace {
@@ -26,11 +32,22 @@ std::vector<IncastConfig> sweep_configs() {
   return configs;
 }
 
+/// An incast sweep fanned out the way the experiment table runs one:
+/// results[i] is run_incast(configs[i]), whatever the worker count.
+std::vector<IncastResult> run_sweep(const std::vector<IncastConfig>& configs,
+                                    unsigned threads) {
+  std::vector<IncastResult> results(configs.size());
+  parallel_for_index(configs.size(), threads, [&](std::size_t i) {
+    results[i] = run_incast(configs[i]);
+  });
+  return results;
+}
+
 TEST(ParallelRunner, MatchesSerialExecution) {
   const auto configs = sweep_configs();
   std::vector<IncastResult> serial;
   for (const auto& c : configs) serial.push_back(run_incast(c));
-  const auto parallel = run_incast_parallel(configs, 4);
+  const auto parallel = run_sweep(configs, 4);
 
   ASSERT_EQ(parallel.size(), serial.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
@@ -45,8 +62,8 @@ TEST(ParallelRunner, MatchesSerialExecution) {
 
 TEST(ParallelRunner, SingleThreadFallback) {
   const auto configs = sweep_configs();
-  const auto one = run_incast_parallel(configs, 1);
-  const auto many = run_incast_parallel(configs, 8);
+  const auto one = run_sweep(configs, 1);
+  const auto many = run_sweep(configs, 8);
   for (std::size_t i = 0; i < one.size(); ++i) {
     EXPECT_EQ(one[i].events_executed, many[i].events_executed);
   }
@@ -58,9 +75,9 @@ TEST(ParallelRunner, SingleThreadFallback) {
 // not just summary counters — across worker counts.
 TEST(ParallelRunner, ThreadCountInvariance) {
   const auto configs = sweep_configs();
-  const auto baseline = run_incast_parallel(configs, 1);
+  const auto baseline = run_sweep(configs, 1);
   for (int threads : {2, 8}) {
-    const auto got = run_incast_parallel(configs, threads);
+    const auto got = run_sweep(configs, threads);
     ASSERT_EQ(got.size(), baseline.size()) << "threads=" << threads;
     for (std::size_t i = 0; i < baseline.size(); ++i) {
       SCOPED_TRACE("threads=" + std::to_string(threads) +
@@ -93,7 +110,7 @@ TEST(ParallelRunner, ThreadCountInvariance) {
 }
 
 TEST(ParallelRunner, EmptySweepIsFine) {
-  EXPECT_TRUE(run_incast_parallel({}, 4).empty());
+  EXPECT_TRUE(run_sweep({}, 4).empty());
 }
 
 TEST(ParallelForIndex, VisitsEveryIndexExactlyOnce) {
@@ -109,6 +126,18 @@ TEST(ParallelForIndex, VisitsEveryIndexExactlyOnce) {
   EXPECT_EQ(seen.size(), 100u);
   EXPECT_EQ(*seen.begin(), 0u);
   EXPECT_EQ(*seen.rbegin(), 99u);
+}
+
+TEST(ParallelForIndex, RethrowsAWorkerExceptionAfterJoining) {
+  std::atomic<int> calls{0};
+  EXPECT_THROW(parallel_for_index(64, 4,
+                                  [&](std::size_t i) {
+                                    ++calls;
+                                    if (i == 5) throw std::runtime_error("x");
+                                  }),
+               std::runtime_error);
+  EXPECT_GE(calls.load(), 6);  // indices 0..5 were claimed in order
+  EXPECT_LE(calls.load(), 64);
 }
 
 TEST(ParallelForIndex, MoreWorkersThanWorkIsSafe) {
