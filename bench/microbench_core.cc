@@ -259,9 +259,10 @@ BENCHMARK(BM_FatTreeEndToEnd)->Arg(50)->Unit(benchmark::kMillisecond);
 /// worker count (Arg).  Arg(1) is the serial-coordinator baseline and
 /// Arg(8) the full-width A/B — identical work by construction (results are
 /// byte-identical across worker counts), so the ratio of the two rows is
-/// pure parallel speedup.  On a single-core host the two rows tie (threads
-/// time-slice one core); the row pair is kept so multi-core hosts expose
-/// the scaling without a bench change.
+/// pure parallel speedup, capped by the host's core count (8 workers
+/// time-slice a 4-core host).  Neither row is the serial runner: DESIGN.md
+/// §9.4 gives the speedup over serial and the 1-worker sharded / serial
+/// tax, measured on perfbench's mix_rack4.
 void BM_FatTreeFullScale(benchmark::State& state) {
   const int workers = static_cast<int>(state.range(0));
   std::uint64_t events = 0;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <memory>
-#include <tuple>
 #include <utility>
 
 #include "experiments/datacenter_setup.h"
@@ -22,7 +21,6 @@ namespace {
 struct ShardState {
   stats::FctRecorder recorder;
   std::size_t completed = 0;
-  std::vector<net::CrossShardPacket> inbox;  ///< Reused drain scratch.
 };
 
 /// Mutable state the epoch loop threads across the barrier.  Every field is
@@ -51,27 +49,20 @@ struct EpochLoopState {
 
 /// Worker phase: advances shard `s` through the current epoch.  First it
 /// re-materializes every packet published for it since it last ran and
-/// schedules each delivery at its recorded arrival instant: take_ready
-/// returns (src, seq)-ordered records, and re-sorting by (arrival, src,
-/// seq) makes the injection order — and therefore any same-timestamp
-/// tie-break in the event queue — canonical.  Then it runs the shard's
-/// private simulator to its horizon.  Touches only shard s's state plus the
+/// schedules each delivery at its recorded arrival instant, straight from
+/// the mailbox records in drain order (ascending src shard, deposit order
+/// within each).  The event queue pops equal timestamps first in, first
+/// out, so deliveries that tie on arrival run in (src shard, deposit order)
+/// — a canonical order with no sort.  Then it runs the shard's private
+/// simulator to its horizon.  Touches only shard s's state plus the
 /// mailboxes' reader-owned column.  Skipped shards never reach here: their
 /// clock lags until their next active epoch, which is harmless because a
 /// skipped shard by definition had nothing to execute in between.
 void advance_shard(sim::Simulator& sim, net::PacketPool& pool,
                    net::Network& network, net::ShardMailboxes& mailboxes,
-                   std::vector<net::CrossShardPacket>& inbox,
                    const EpochLoopState& loop, int s,
                    const sim::WorkerPhase& phase) {
-  inbox.clear();
-  mailboxes.take_ready(s, inbox, phase);
-  std::sort(inbox.begin(), inbox.end(),
-            [](const net::CrossShardPacket& a, const net::CrossShardPacket& b) {
-              return std::make_tuple(a.arrival, a.src_shard, a.seq) <
-                     std::make_tuple(b.arrival, b.src_shard, b.seq);
-            });
-  for (net::CrossShardPacket& rec : inbox) {
+  mailboxes.drain_ready(s, phase, [&](const net::CrossShardPacket& rec) {
     net::Node* node = network.node(rec.dst_node);
     const net::PacketRef ref = pool.import_packet(rec.pkt);
     const int in_port = rec.dst_port;
@@ -83,8 +74,7 @@ void advance_shard(sim::Simulator& sim, net::PacketPool& pool,
         sizeof(arrive) <= 24 && sim::UniqueFunction::fits_inline<decltype(arrive)>,
         "re-materialized delivery must stay a handle-sized inline closure");
     sim.at(rec.arrival, std::move(arrive));
-  }
-  inbox.clear();
+  });
   sim.run(loop.horizon[static_cast<std::size_t>(s)] - 1);
 }
 
@@ -267,7 +257,7 @@ DatacenterResult run_datacenter_sharded(const DatacenterConfig& config,
       if (!port.connected()) continue;
       const int d = smap.of(port.peer()->id());
       if (d == s) continue;
-      port.set_cross_shard_sink(routers[static_cast<std::size_t>(s)].get());
+      port.set_shard_router(routers[static_cast<std::size_t>(s)].get());
       lookahead.observe_link(s, d, port.propagation_delay());
       ++boundary_ports;
     }
@@ -310,8 +300,8 @@ DatacenterResult run_datacenter_sharded(const DatacenterConfig& config,
       shards, workers, loop.active,
       [&](int s, const sim::WorkerPhase& phase) {
         const auto si = static_cast<std::size_t>(s);
-        advance_shard(*sims[si], *pools[si], network, mailboxes,
-                      shard_state[si].inbox, loop, s, phase);
+        advance_shard(*sims[si], *pools[si], network, mailboxes, loop, s,
+                      phase);
       },
       [&](const sim::BarrierPhase& phase) {
         return plan_epoch(sims, mailboxes, lookahead, config.max_sim_time,
@@ -368,8 +358,8 @@ DatacenterResult run_datacenter_sharded(const DatacenterConfig& config,
 
   if (loop.drained) {
     // A drained run must leave zero live packets per shard: every packet
-    // was either consumed locally or export_release'd across a boundary
-    // and released there.  Arm the destructor audit so a leak fails loudly.
+    // was either consumed locally or copied across a boundary and released
+    // there.  Arm the destructor audit so a leak fails loudly.
     for (const auto& pool : pools) pool->enable_teardown_leak_audit();
   }
   return result;

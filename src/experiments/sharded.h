@@ -6,10 +6,11 @@
 // pod-internal aggs dealt round-robin either way) — gives every shard a
 // private Simulator, PacketPool, and Rng, and advances the shards in
 // conservative barrier epochs (see sim/epoch.h) on `workers` OS threads.
-// Packets crossing a shard boundary are serialized out of the source shard's
-// pool into per-shard-pair mailboxes, published at the epoch barrier, and
-// re-materialized by the destination shard (see net/shard.h).  Both entry
-// points build the experiment through the same DatacenterSetup.
+// A packet crossing a shard boundary is copied out of the source shard's
+// pool into its shard pair's mailbox cell, handed over at the epoch barrier,
+// and copied into the destination shard's pool, which schedules it in the
+// cells' drain order (see net/shard.h).  Both entry points build the
+// experiment through the same DatacenterSetup.
 //
 // Epochs are adaptive, not fixed-length: a path-closed per-ordered-pair
 // lookahead matrix (net::ShardLookahead) plus each shard's earliest pending

@@ -114,13 +114,13 @@ void Node::send_pfc(int in_port, bool pause) {
   frame.pfc_port = reverse.peer_port();
   Node* peer = reverse.peer();
   const int arrival_port = reverse.peer_port();  // valid index on peer
-  if (CrossShardSink* sink = reverse.cross_shard_sink()) {
+  if (ShardRouter* router = reverse.shard_router()) {
     // The pause/resume frame crosses a shard boundary: like data in
-    // Port::start_tx, it is serialized out of this shard's pool into the
-    // mailbox and re-materialized by the owner of the peer node.
-    sink->deposit(pool_->export_release(ref),
-                  sim_->now() + reverse.propagation_delay(), peer->id(),
-                  arrival_port);
+    // Port::start_tx, its bytes are copied into the mailbox, the handle is
+    // released, and the owner of the peer node re-materializes it.
+    router->deposit(frame, sim_->now() + reverse.propagation_delay(),
+                    peer->id(), arrival_port);
+    pool_->release(ref);
     return;
   }
   auto arrive = [peer, ref, arrival_port] { peer->deliver(ref, arrival_port); };

@@ -7,9 +7,12 @@
 // echoed congestion-experienced bit.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <type_traits>
 
 #include "sim/time.h"
 
@@ -123,6 +126,24 @@ struct Packet {
 static_assert(offsetof(Packet, ints) == 64,
               "per-hop header must fill exactly one cache line ahead of the "
               "INT stack (see the field-order comment)");
+// copy_packet below moves packets as raw bytes, and so does the cross-shard
+// handoff (net/shard.h): a PacketRef names a slot in one shard's pool and
+// means nothing in another's, so what crosses a boundary is the bytes.
+static_assert(std::is_trivially_copyable_v<Packet>,
+              "cross-shard packets travel as bytes, never as handles");
+
+/// Copies everything a reader of `from` can see into `to`: the 64-byte
+/// header line and the populated INT prefix.  Records at index >= int_count
+/// are never read, so the rest of the 256-byte stack stays behind — a
+/// boundary packet crossing shards moves one line plus its hops, not ~320
+/// bytes.
+inline void copy_packet(Packet& to, const Packet& from) {
+  // Every field ahead of `ints` is the header line, so one prefix memcpy
+  // picks up a field added there later.  The void* cast tells GCC's
+  // class-memaccess check that leaving the stack's tail is intended.
+  std::memcpy(static_cast<void*>(&to), &from, offsetof(Packet, ints));
+  std::copy_n(from.ints.begin(), from.int_count, to.ints.begin());
+}
 
 /// Fills a freshly reset pool packet in place as a data packet for `flow`
 /// covering [seq, seq+payload).  Zero-copy counterpart of make_data.

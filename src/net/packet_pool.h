@@ -9,7 +9,9 @@
 //   * Node::send_pfc alloc()s PFC pause/resume frames.
 //   * Whoever removes a packet from the pipeline release()s it: the
 //     receiving host after processing (Host::receive), Node::deliver for
-//     PFC frames, and Port::enqueue on a tail drop.
+//     PFC frames, Port::enqueue on a tail drop, and a shard-boundary
+//     sender once ShardRouter::deposit has copied the bytes out (the
+//     destination shard import_packet()s them into its own pool).
 //
 // Handles are generation-checked: release() bumps the slot's generation, so
 // a stale PacketRef held past release (a use-after-free in disguise) fails
@@ -131,22 +133,13 @@ class PacketPool {
     return slot_at(ref.slot()).gen == ref.gen();
   }
 
-  /// Serializes a packet out of this pool for a cross-shard handoff: copies
-  /// the bytes and retires the handle (slot to the freelist, generation
-  /// bumped, exactly as release()).  The returned value is what crosses the
-  /// mailbox; the destination shard re-materializes it via import_packet().
-  Packet export_release(PacketRef ref) {
-    Packet out = get(ref);
-    release(ref);
-    return out;
-  }
-
   /// Re-materializes a packet that arrived from another shard's pool:
-  /// allocates a fresh slot here and copies the bytes in.  The new handle
-  /// is this pool's own — generation checking starts over.
+  /// allocates a fresh slot here and copies the header line and populated
+  /// INT records in (copy_packet).  The new handle is this pool's own —
+  /// generation checking starts over.
   PacketRef import_packet(const Packet& p) {
     const PacketRef ref = alloc();
-    get(ref) = p;
+    copy_packet(get(ref), p);
     return ref;
   }
 

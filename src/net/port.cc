@@ -173,16 +173,16 @@ void Port::start_tx() {
     wire_free_time_ = start + last_ser_time_;
     const sim::Time arrival = wire_free_time_ + prop_delay_;
 
-    if (xshard_ != nullptr) {
+    if (router_ != nullptr) {
       // Shard-boundary link: the peer lives on another worker's simulator,
-      // so a handle into *this* pool is meaningless there.  Serialize the
-      // packet out of the pool (export_release copies the bytes and retires
-      // the handle) into the mailbox; the destination shard re-materializes
-      // it in its own pool and schedules the delivery at the same arrival
-      // instant.  Never chained: exact per-packet arrivals keep the
-      // conservative-sync horizon math untouched.
-      xshard_->deposit(pool_->export_release(ref), arrival, peer->id(),
-                       in_port);
+      // so a handle into *this* pool is meaningless there.  The router
+      // copies the packet's bytes into a mailbox record and the handle dies
+      // here; the destination shard re-materializes it in its own pool and
+      // schedules the delivery at the same arrival instant.  Never chained:
+      // exact per-packet arrivals keep the conservative-sync horizon math
+      // untouched.
+      router_->deposit(p, arrival, peer->id(), in_port);
+      pool_->release(ref);
     } else if (coalesce) {
       chain.chain_take(ref, p, arrival);
     } else {

@@ -33,7 +33,7 @@
 namespace fastcc::net {
 
 class Node;
-class CrossShardSink;
+class ShardRouter;
 
 /// Upper bound on back-to-back transmissions committed per bulk-drain event
 /// (and thus on the length of a deliver_batch chain).  Small enough that a
@@ -79,10 +79,10 @@ class Port {
 
   /// Marks this port as a shard-boundary egress: instead of scheduling the
   /// peer's delivery on the local event queue, transmitted packets are
-  /// serialized out of this shard's pool into `sink` (a per-shard mailbox
-  /// router).  Null (the default) restores direct delivery.
-  void set_cross_shard_sink(CrossShardSink* sink) { xshard_ = sink; }
-  CrossShardSink* cross_shard_sink() const { return xshard_; }
+  /// copied out of this shard's pool into `router`'s mailbox cells and
+  /// their handles released.  Null (the default) restores direct delivery.
+  void set_shard_router(ShardRouter* router) { router_ = router; }
+  ShardRouter* shard_router() const { return router_; }
 
   /// Re-homes the transmitter onto a shard's simulator (see
   /// Node::rebind_shard).  Legal only before the first run.
@@ -162,7 +162,7 @@ class Port {
 
   RedParams red_;
   sim::Rng* rng_ = nullptr;
-  CrossShardSink* xshard_ = nullptr;
+  ShardRouter* router_ = nullptr;
 };
 
 }  // namespace fastcc::net

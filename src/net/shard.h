@@ -6,23 +6,26 @@
 // as in the serial simulator; only packets crossing a shard boundary leave
 // their shard, and they do so through the types in this header:
 //
-//   Port/Node (egress)  --deposit-->  ShardRouter  --put-->  ShardMailboxes
+//   Port/Node (egress) --deposit--> ShardRouter --put--> pending (src, dst)
 //                                                               |
-//   destination shard  <--take_ready--  publish() at the epoch barrier
+//                                      publish() at the epoch barrier
+//                                                               v
+//   destination shard  <--------drain_ready--------  ready (src, dst)
 //
-// Determinism contract: within an epoch each (src, dst) mailbox cell is
+// Determinism contract: within an epoch each (src, dst) pending cell is
 // written by exactly one worker (the one running src's shard) in that
-// shard's deterministic event order, and stamped with a per-(src, dst)
-// transfer sequence number.  The destination drains cells in ascending
-// src-shard order and delivers in (arrival time, src shard, seq) order, so
-// results are byte-identical for any worker count — the logical partition
-// is fixed by the topology, not by the thread schedule.
+// shard's deterministic event order.  The destination drains its ready
+// cells in ascending src-shard order, deposit order within each, and
+// schedules every delivery in that drain order; the event queue pops equal
+// timestamps first in, first out, so deliveries run in (arrival time, src
+// shard, deposit order).  That order is a function of the logical execution
+// alone, so results are byte-identical for any worker count — the logical
+// partition is fixed by the topology, not by the thread schedule.
 #pragma once
 
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -144,38 +147,17 @@ class ShardLookahead {
   std::vector<sim::Time> delay_;  ///< Row-major.
 };
 
-/// A packet serialized out of its source shard's pool, in flight between
-/// shards.  Carries everything the destination needs to re-materialize and
-/// deliver it: the bytes, the arrival instant (already includes the
-/// boundary link's serialization + propagation time), and the ingress
-/// (node, port) on the destination side.
+/// A boundary packet in flight between shards: the bytes the destination
+/// re-materializes, the arrival instant (it already includes the boundary
+/// link's serialization and propagation time), and the ingress (node, port)
+/// on the destination side.  Mailbox cells keep their records across epochs
+/// and overwrite them in place (copy_packet), so the INT records past
+/// pkt.int_count are stale bytes no one reads.
 struct CrossShardPacket {
   Packet pkt;
   sim::Time arrival = 0;
   NodeId dst_node = kInvalidNode;
   int dst_port = -1;
-  int src_shard = -1;
-  std::uint64_t seq = 0;  ///< Per-(src, dst) shard-pair transfer counter.
-};
-
-// What crosses a shard boundary is plain bytes: a PacketRef names a slot in
-// the source shard's pool and means nothing in the destination's.
-static_assert(std::is_trivially_copyable_v<Packet>,
-              "cross-shard packets travel as bytes, never as handles");
-
-/// Abstract destination for packets leaving a shard.  Port::start_tx and
-/// Node::send_pfc call deposit() instead of scheduling a local delivery
-/// when the egress port is marked as a shard boundary.  The packet must
-/// already be out of the source pool (export_release): deposit() takes the
-/// bytes by value, and a PacketRef does not convert to a Packet.
-class CrossShardSink {
- public:
-  virtual ~CrossShardSink() = default;
-
-  /// Accepts one boundary-crossing packet.  `arrival` is the absolute
-  /// simulated time the packet reaches `dst_node` on its `dst_port`.
-  virtual void deposit(Packet&& pkt, sim::Time arrival, NodeId dst_node,
-                       int dst_port) = 0;
 };
 
 /// P x P matrix of single-writer mailboxes with epoch-barrier publication.
@@ -183,53 +165,64 @@ class CrossShardSink {
 /// Threading protocol (the whole reason this class is safe without locks):
 ///   * During an epoch, row s of `pending_` is written only by shard s's
 ///     ShardRouter, i.e. by the worker running shard s.  No one reads it.
-///   * publish() runs single-threaded inside the barrier step; it moves
-///     every pending cell into `ready_`.
+///   * publish() runs single-threaded inside the barrier step; it hands
+///     every pending cell to the ready side.
 ///   * During the next epoch, column d of `ready_` is read and drained only
 ///     by the worker running shard d.  No one writes it.
 /// The epoch barrier's acquire/release ordering makes each hand-off visible.
 /// The compiler holds the protocol: put() is private to ShardRouter (the
 /// single writer of its shard's row), and each phase-bound method demands
 /// the matching token from sim::EpochCoordinator.
+///
+/// A boundary packet is copied twice: by deposit() from the source pool
+/// into a pending record, and by the destination's import_packet() from
+/// that record into its own pool.  Publishing moves no record.
 class ShardMailboxes {
  public:
   explicit ShardMailboxes(int shards)
       : shards_(shards),
         pending_(static_cast<std::size_t>(shards) * shards),
         ready_(static_cast<std::size_t>(shards) * shards),
-        ready_release_(static_cast<std::size_t>(shards) * shards,
-                       sim::kMaxTime),
-        seq_(static_cast<std::size_t>(shards) * shards, 0) {
+        transfers_(static_cast<std::size_t>(shards) * shards, 0) {
     assert(shards >= 1);
   }
 
-  /// Moves every pending cell into the ready side and folds each record's
-  /// arrival into the cell's release horizon.
+  /// Hands every pending cell to the ready side, folding its earliest
+  /// arrival into the ready cell's release horizon.  A ready cell its
+  /// destination drained swaps storage with the pending cell; only one
+  /// whose destination skipped its epoch, and so still holds records, has
+  /// the new records appended behind them.
   void publish(const sim::BarrierPhase&) {
     for (std::size_t i = 0; i < pending_.size(); ++i) {
-      if (pending_[i].empty()) continue;
-      auto& r = ready_[i];
-      for (auto& rec : pending_[i]) {
-        ready_release_[i] = std::min(ready_release_[i], rec.arrival);
-        r.push_back(std::move(rec));
+      Cell& pending = pending_[i];
+      if (pending.size == 0) continue;
+      Cell& ready = ready_[i];
+      if (ready.size == 0) {
+        std::swap(pending, ready);
+        continue;
       }
-      pending_[i].clear();
+      for (std::size_t k = 0; k < pending.size; ++k) {
+        const CrossShardPacket& rec = pending.recs[k];
+        ready.push(rec.pkt, rec.arrival, rec.dst_node, rec.dst_port);
+      }
+      pending.clear();
     }
   }
 
-  /// Drains everything published for shard `dst` into `out` (appended in
-  /// ascending src-shard order; each cell is already seq-ordered).  Caller
+  /// Hands everything published for shard `dst` to `deliver`, in place and
+  /// in drain order — ascending src shard, deposit order within each — then
+  /// empties the drained cells and resets their release horizons.  Caller
   /// must be the worker running shard `dst`: column d of the ready side is
-  /// that worker's alone between two barriers.
-  void take_ready(int dst, std::vector<CrossShardPacket>& out,
-                  const sim::WorkerPhase&) {
+  /// that worker's alone between two barriers.  A record is overwritten
+  /// once its cell is reused, so `deliver` copies what it keeps.
+  template <typename Deliver>
+  void drain_ready(int dst, const sim::WorkerPhase&, Deliver&& deliver) {
     for (int src = 0; src < shards_; ++src) {
-      auto& c = cell(ready_, src, dst);
-      for (auto& rec : c) out.push_back(std::move(rec));
+      Cell& c = ready_[index(src, dst)];
+      for (std::size_t k = 0; k < c.size; ++k) {
+        deliver(std::as_const(c.recs[k]));
+      }
       c.clear();
-      // The drained cell holds nothing, so its release horizon resets; the
-      // next publish() re-derives it from whatever lands later.
-      ready_release_[index(src, dst)] = sim::kMaxTime;
     }
   }
 
@@ -239,7 +232,7 @@ class ShardMailboxes {
   /// without draining: retained records stay exactly as published, and the
   /// planner consults the horizon instead of the records.
   sim::Time ready_release(int src, int dst, const sim::BarrierPhase&) const {
-    return ready_release_[index(src, dst)];
+    return ready_[index(src, dst)].earliest;
   }
 
   /// Earliest published-but-undrained arrival destined for `dst` over every
@@ -249,7 +242,7 @@ class ShardMailboxes {
   sim::Time earliest_ready(int dst, const sim::BarrierPhase&) const {
     sim::Time earliest = sim::kMaxTime;
     for (int src = 0; src < shards_; ++src) {
-      earliest = std::min(earliest, ready_release_[index(src, dst)]);
+      earliest = std::min(earliest, ready_[index(src, dst)].earliest);
     }
     return earliest;
   }
@@ -258,10 +251,10 @@ class ShardMailboxes {
   /// for tests and post-run checks: it reads every cell, so call it only
   /// while no epoch loop is running.
   bool all_empty() const {
-    for (const auto& c : pending_)
-      if (!c.empty()) return false;
-    for (const auto& c : ready_)
-      if (!c.empty()) return false;
+    for (const Cell& c : pending_)
+      if (c.size != 0) return false;
+    for (const Cell& c : ready_)
+      if (c.size != 0) return false;
     return true;
   }
 
@@ -269,7 +262,7 @@ class ShardMailboxes {
   /// all_empty(), read it only while no epoch loop is running).
   std::uint64_t total_transfers() const {
     std::uint64_t n = 0;
-    for (const std::uint64_t s : seq_) n += s;
+    for (const std::uint64_t t : transfers_) n += t;
     return n;
   }
 
@@ -277,55 +270,74 @@ class ShardMailboxes {
 
  private:
   friend class ShardRouter;
-  using Cell = std::vector<CrossShardPacket>;
 
-  /// Appends a transfer to the (src, dst) pending cell and stamps its
-  /// sequence number.  Only ShardRouter calls it, and router `src` is the
-  /// one sink of shard src's boundary ports.
-  void put(int src, int dst, CrossShardPacket&& rec) {
-    auto& c = cell(pending_, src, dst);
-    rec.src_shard = src;
-    rec.seq = seq_[index(src, dst)]++;
-    c.push_back(std::move(rec));
+  /// One (src, dst) mailbox.  Records [0, size) are live; the rest is
+  /// storage kept for reuse, so a steady-state deposit allocates nothing
+  /// and copies only what copy_packet copies.  A cache line of its own:
+  /// the cell beside it may be written by another worker in the same epoch
+  /// (the next row's first pending cell, the next column's ready cell).
+  struct alignas(64) Cell {
+    std::vector<CrossShardPacket> recs;
+    std::size_t size = 0;
+    sim::Time earliest = sim::kMaxTime;  ///< Min arrival over [0, size).
+
+    void push(const Packet& pkt, sim::Time arrival, NodeId dst_node,
+              int dst_port) {
+      if (size == recs.size()) recs.emplace_back();
+      CrossShardPacket& rec = recs[size++];
+      copy_packet(rec.pkt, pkt);
+      rec.arrival = arrival;
+      rec.dst_node = dst_node;
+      rec.dst_port = dst_port;
+      earliest = std::min(earliest, arrival);
+    }
+    void clear() {
+      size = 0;
+      earliest = sim::kMaxTime;
+    }
+  };
+
+  /// Copies a transfer into the (src, dst) pending cell.  Only ShardRouter
+  /// calls it, and router `src` is the one writer of shard src's row.
+  void put(int src, int dst, const Packet& pkt, sim::Time arrival,
+           NodeId dst_node, int dst_port) {
+    const std::size_t i = index(src, dst);
+    pending_[i].push(pkt, arrival, dst_node, dst_port);
+    ++transfers_[i];
   }
 
   std::size_t index(int src, int dst) const {
     assert(src >= 0 && src < shards_ && dst >= 0 && dst < shards_);
     return static_cast<std::size_t>(src) * shards_ + dst;
   }
-  Cell& cell(std::vector<Cell>& side, int src, int dst) {
-    return side[index(src, dst)];
-  }
 
   int shards_;
   std::vector<Cell> pending_;  ///< Writer-side cells.
   std::vector<Cell> ready_;    ///< Published cells.
-  /// Per-cell earliest arrival on the ready side (kMaxTime = empty cell).
-  /// Folded by publish(), reset by the owning reader's take_ready().
-  std::vector<sim::Time> ready_release_;
-  std::vector<std::uint64_t> seq_;
+  std::vector<std::uint64_t> transfers_;  ///< Per (src, dst) pair, lifetime.
 };
 
-/// The per-source-shard CrossShardSink: looks up the destination's shard in
-/// the ShardMap and appends to the matching mailbox cell.  One router per
-/// shard; every boundary egress port of that shard points at it, so all
-/// writes funnel through the single thread that owns the shard.
-class ShardRouter final : public CrossShardSink {
+/// The per-source-shard entry into the mailboxes: looks up the destination's
+/// shard in the ShardMap and copies the packet into the matching pending
+/// cell.  One router per shard; every boundary egress port of that shard
+/// points at it, so all writes funnel through the single thread that owns
+/// the shard.
+class ShardRouter {
  public:
   ShardRouter(ShardMailboxes* mailboxes, const ShardMap* map, int src_shard)
       : mailboxes_(mailboxes), map_(map), src_shard_(src_shard) {}
 
-  void deposit(Packet&& pkt, sim::Time arrival, NodeId dst_node,
-               int dst_port) override {
+  /// Accepts one boundary-crossing packet by copying its bytes out of the
+  /// caller's pool slot; the caller then releases the handle.  `arrival` is
+  /// the absolute simulated time the packet reaches `dst_node` on its
+  /// `dst_port`.  Bytes, never a handle: a PacketRef does not convert to a
+  /// Packet.
+  void deposit(const Packet& pkt, sim::Time arrival, NodeId dst_node,
+               int dst_port) {
     const int dst_shard = map_->of(dst_node);
     assert(dst_shard != src_shard_ &&
-           "cross-shard sink invoked for an intra-shard link");
-    CrossShardPacket rec;
-    rec.pkt = std::move(pkt);
-    rec.arrival = arrival;
-    rec.dst_node = dst_node;
-    rec.dst_port = dst_port;
-    mailboxes_->put(src_shard_, dst_shard, std::move(rec));
+           "shard router invoked for an intra-shard link");
+    mailboxes_->put(src_shard_, dst_shard, pkt, arrival, dst_node, dst_port);
   }
 
  private:

@@ -207,7 +207,34 @@ TEST(PacketPool, LiveAndPeakCountsTrackAllocReleaseExactly) {
   EXPECT_EQ(pool.peak_count(), 6u);
 }
 
-TEST(PacketPool, ExportReleaseAndImportMovePacketsBetweenPools) {
+/// Every field a reader of a packet can see: the header and the populated
+/// INT prefix.
+void expect_same_visible(const Packet& got, const Packet& want) {
+  EXPECT_EQ(got.type, want.type);
+  EXPECT_EQ(got.int_count, want.int_count);
+  EXPECT_EQ(got.ecn, want.ecn);
+  EXPECT_EQ(got.cnp, want.cnp);
+  EXPECT_EQ(got.flow, want.flow);
+  EXPECT_EQ(got.src, want.src);
+  EXPECT_EQ(got.dst, want.dst);
+  EXPECT_EQ(got.payload_bytes, want.payload_bytes);
+  EXPECT_EQ(got.wire_bytes, want.wire_bytes);
+  EXPECT_EQ(got.pfc_port, want.pfc_port);
+  EXPECT_EQ(got.ingress_port, want.ingress_port);
+  EXPECT_EQ(got.batch_next, want.batch_next);
+  EXPECT_EQ(got.seq, want.seq);
+  EXPECT_EQ(got.host_ts, want.host_ts);
+  EXPECT_EQ(got.ack_ts, want.ack_ts);
+  for (int i = 0; i < want.int_count; ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(got.ints[i].timestamp, want.ints[i].timestamp);
+    EXPECT_EQ(got.ints[i].tx_bytes, want.ints[i].tx_bytes);
+    EXPECT_EQ(got.ints[i].qlen_bytes, want.ints[i].qlen_bytes);
+    EXPECT_EQ(got.ints[i].bandwidth, want.ints[i].bandwidth);
+  }
+}
+
+TEST(PacketPool, ImportPacketCarriesHeaderAndIntRecords) {
   PacketPool src_pool;
   PacketPool dst_pool;
   // The teardown audit is the sharded runner's leak tripwire; arming it
@@ -215,23 +242,47 @@ TEST(PacketPool, ExportReleaseAndImportMovePacketsBetweenPools) {
   src_pool.enable_teardown_leak_audit();
   dst_pool.enable_teardown_leak_audit();
 
-  const PacketRef ref = src_pool.alloc();
-  src_pool.get(ref).wire_bytes = 777;
-  src_pool.get(ref).seq = 42;
+  // A data packet three hops into its path, then its ACK echoing the stack.
+  const PacketRef data = src_pool.alloc();
+  Packet& d = src_pool.get(data);
+  init_data(d, /*flow=*/7, /*src=*/3, /*dst=*/12, /*seq=*/4000,
+            /*payload=*/1000, /*now=*/1500);
+  d.ecn = true;
+  d.ingress_port = 2;
+  for (std::uint32_t hop = 0; hop < 3; ++hop) {
+    IntRecord rec;
+    rec.timestamp = 2000 + 100 * hop;
+    rec.tx_bytes = 50000 + hop;
+    rec.qlen_bytes = 3000 * hop;
+    rec.bandwidth = 12.5 + hop;
+    d.push_int(rec);
+  }
+  const PacketRef ack = src_pool.alloc();
+  Packet& a = src_pool.get(ack);
+  init_ack(a, d, /*now=*/2600);
+  a.cnp = true;
+  a.pfc_port = 1;
 
-  // Export: bytes come out, the handle dies, the slot frees.
-  const Packet crossing = src_pool.export_release(ref);
+  // Leave a stale 8-hop packet in the destination's next free slot: an
+  // import that dropped a populated INT record would read a stale one.
+  const PacketRef stale = dst_pool.alloc();
+  for (int hop = 0; hop < kMaxHops; ++hop) {
+    dst_pool.get(stale).push_int(IntRecord{9, 9, 9, 9.0});
+  }
+  dst_pool.release(stale);
+
+  // Cross both, releasing each source handle once its bytes are copied, as
+  // a shard-boundary port does.
+  for (const PacketRef ref : {data, ack}) {
+    const Packet& crossing = src_pool.get(ref);
+    const PacketRef imported = dst_pool.import_packet(crossing);
+    expect_same_visible(dst_pool.get(imported), crossing);
+    EXPECT_EQ(dst_pool.get(imported).int_count, 3);
+    src_pool.release(ref);
+    EXPECT_FALSE(src_pool.is_current(ref));
+    dst_pool.release(imported);
+  }
   EXPECT_EQ(src_pool.live_count(), 0u);
-  EXPECT_FALSE(src_pool.is_current(ref));
-  EXPECT_EQ(crossing.wire_bytes, 777u);
-
-  // Import: a fresh handle in the destination pool, same bytes.
-  const PacketRef imported = dst_pool.import_packet(crossing);
-  EXPECT_EQ(dst_pool.live_count(), 1u);
-  EXPECT_EQ(dst_pool.get(imported).wire_bytes, 777u);
-  EXPECT_EQ(dst_pool.get(imported).seq, 42u);
-
-  dst_pool.release(imported);
   EXPECT_EQ(dst_pool.live_count(), 0u);
 }
 

@@ -1,17 +1,16 @@
-// ShardMailboxes protocol: per-(src, dst) sequence stamping, publish
-// ordering (nothing is visible to the reader before the barrier's
-// publish()), ascending-src drain order, the canonical
-// (arrival, src shard, seq) injection order the sharded runner sorts into,
-// and cell reuse across epochs — plus the phase discipline itself: the
-// misuses below must not compile, and the executor must hand out its
-// barrier step before any worker step.
+// ShardMailboxes protocol: per-(src, dst) deposit order, publish ordering
+// (nothing is visible to the reader before the barrier's publish()),
+// ascending-src drain order, the delivery order the sharded runner relies on
+// (records scheduled into a Simulator in drain order run in (arrival, src
+// shard, deposit order)), and cell reuse across epochs — plus the phase
+// discipline itself: the misuses below must not compile, and the executor
+// must hand out its barrier step before any worker step.
 #include "net/shard.h"
 
 #include <algorithm>
 #include <concepts>
 #include <functional>
 #include <thread>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -20,6 +19,8 @@
 #include "net/packet.h"
 #include "net/packet_pool.h"
 #include "sim/epoch.h"
+#include "sim/random.h"
+#include "sim/simulator.h"
 
 namespace fastcc::net {
 namespace {
@@ -39,18 +40,17 @@ concept CanReadHorizons = requires(const ShardMailboxes& mb,
   mb.ready_release(0, 1, phase);
 };
 template <typename Phase>
-concept CanTakeReady = requires(ShardMailboxes& mb,
-                                std::vector<CrossShardPacket>& out,
-                                const Phase& phase) {
-  mb.take_ready(0, out, phase);
+concept CanDrainReady = requires(ShardMailboxes& mb, const Phase& phase,
+                                 void (*deliver)(const CrossShardPacket&)) {
+  mb.drain_ready(0, phase, deliver);
 };
 template <typename Payload>
-concept CanDeposit = requires(CrossShardSink& sink, Payload&& payload) {
-  sink.deposit(std::forward<Payload>(payload), sim::Time{0}, NodeId{0}, 0);
+concept CanDeposit = requires(ShardRouter& router, Payload&& payload) {
+  router.deposit(std::forward<Payload>(payload), sim::Time{0}, NodeId{0}, 0);
 };
 template <typename Mailboxes>
-concept CanPutDirectly = requires(Mailboxes& mb, CrossShardPacket&& rec) {
-  mb.put(0, 1, std::move(rec));
+concept CanPutDirectly = requires(Mailboxes& mb, const Packet& pkt) {
+  mb.put(0, 1, pkt, sim::Time{0}, NodeId{1}, 0);
 };
 
 static_assert(CanPublish<sim::BarrierPhase> && !CanPublish<sim::WorkerPhase>,
@@ -58,10 +58,11 @@ static_assert(CanPublish<sim::BarrierPhase> && !CanPublish<sim::WorkerPhase>,
 static_assert(CanReadHorizons<sim::BarrierPhase> &&
                   !CanReadHorizons<sim::WorkerPhase>,
               "release horizons are read by the barrier-step planner only");
-static_assert(CanTakeReady<sim::WorkerPhase> &&
-                  !CanTakeReady<sim::BarrierPhase>,
-              "take_ready() belongs to the destination's worker");
-static_assert(CanDeposit<Packet> && !CanDeposit<PacketRef>,
+static_assert(CanDrainReady<sim::WorkerPhase> &&
+                  !CanDrainReady<sim::BarrierPhase>,
+              "drain_ready() belongs to the destination's worker");
+static_assert(CanDeposit<Packet> && CanDeposit<const Packet&> &&
+                  !CanDeposit<PacketRef>,
               "only serialized bytes cross a shard boundary, never a handle");
 static_assert(!CanPutDirectly<ShardMailboxes>,
               "put() is reachable only through the source shard's router");
@@ -100,11 +101,15 @@ void publish(ShardMailboxes& mb) {
   in_barrier([&](const sim::BarrierPhase& phase) { mb.publish(phase); });
 }
 
-void take_ready(ShardMailboxes& mb, int dst,
-                std::vector<CrossShardPacket>& out) {
+/// Drains everything published for `dst`, copying each record out in drain
+/// order.
+std::vector<CrossShardPacket> drain(ShardMailboxes& mb, int dst) {
+  std::vector<CrossShardPacket> out;
   in_worker([&](const sim::WorkerPhase& phase) {
-    mb.take_ready(dst, out, phase);
+    mb.drain_ready(dst, phase,
+                   [&](const CrossShardPacket& rec) { out.push_back(rec); });
   });
+  return out;
 }
 
 sim::Time earliest_ready(const ShardMailboxes& mb, int dst) {
@@ -125,19 +130,27 @@ sim::Time ready_release(const ShardMailboxes& mb, int src, int dst) {
 
 /// Deposits `rec` from shard `src` toward shard `dst` the only way the
 /// runner can: through src's ShardRouter (here node n lives on shard n).
-void put(ShardMailboxes& mb, int src, int dst, CrossShardPacket rec) {
+void put(ShardMailboxes& mb, int src, int dst, const CrossShardPacket& rec) {
   ShardMap map;
   map.count = mb.shards();
   for (int s = 0; s < map.count; ++s) map.shard.push_back(s);
   ShardRouter router(&mb, &map, src);
-  router.deposit(std::move(rec.pkt), rec.arrival, static_cast<NodeId>(dst),
+  router.deposit(rec.pkt, rec.arrival, static_cast<NodeId>(dst),
                  rec.dst_port);
 }
 
-CrossShardPacket make_rec(FlowId flow, sim::Time arrival) {
+/// A data packet of `flow` carrying `hops` INT records, each stamped with
+/// the flow id so a stale record shows.
+CrossShardPacket make_rec(FlowId flow, sim::Time arrival, int hops = 0) {
   CrossShardPacket rec;
   rec.pkt = make_data(flow, /*src=*/0, /*dst=*/1, /*seq=*/0,
                       /*payload=*/100, /*now=*/0);
+  for (int h = 0; h < hops; ++h) {
+    IntRecord hop;
+    hop.tx_bytes = flow;
+    hop.qlen_bytes = static_cast<std::uint32_t>(h);
+    rec.pkt.push_int(hop);
+  }
   rec.arrival = arrival;
   rec.dst_node = 1;
   rec.dst_port = 0;
@@ -157,12 +170,11 @@ TEST(ShardMailboxes, NothingVisibleBeforePublish) {
   put(mb, 0, 1, make_rec(10, 100));
   EXPECT_FALSE(mb.all_empty());
 
-  std::vector<CrossShardPacket> inbox;
-  take_ready(mb, 1, inbox);
-  EXPECT_TRUE(inbox.empty()) << "pending transfers leaked past the barrier";
+  EXPECT_TRUE(drain(mb, 1).empty())
+      << "pending transfers leaked past the barrier";
 
   publish(mb);
-  take_ready(mb, 1, inbox);
+  const std::vector<CrossShardPacket> inbox = drain(mb, 1);
   ASSERT_EQ(inbox.size(), 1u);
   EXPECT_EQ(inbox[0].pkt.flow, 10u);
   EXPECT_TRUE(mb.all_empty());
@@ -170,90 +182,122 @@ TEST(ShardMailboxes, NothingVisibleBeforePublish) {
 
 TEST(ShardMailboxes, SequenceNumbersArePerShardPair) {
   ShardMailboxes mb(3);
-  // Interleave deposits to two destinations; each (src, dst) pair keeps its
-  // own counter, so neither stream perturbs the other's stamps.
+  // Interleave deposits to two destinations, the later source first; each
+  // (src, dst) cell keeps its own deposit sequence, so neither stream
+  // perturbs the other, and the drain visits sources in ascending order
+  // whatever order they deposited in.
+  put(mb, 2, 1, make_rec(4, 100));
   put(mb, 0, 1, make_rec(1, 100));
   put(mb, 0, 2, make_rec(2, 100));
+  put(mb, 1, 2, make_rec(7, 100));
   put(mb, 0, 1, make_rec(3, 100));
-  put(mb, 2, 1, make_rec(4, 100));
+  put(mb, 2, 1, make_rec(6, 100));
   put(mb, 0, 2, make_rec(5, 100));
   publish(mb);
 
-  std::vector<CrossShardPacket> to1;
-  take_ready(mb, 1, to1);
-  ASSERT_EQ(to1.size(), 3u);
-  // Ascending src-shard order: src 0's cell first, then src 2's.
-  EXPECT_EQ(flows_of(to1), (std::vector<FlowId>{1, 3, 4}));
-  EXPECT_EQ(to1[0].seq, 0u);
-  EXPECT_EQ(to1[1].seq, 1u);
-  EXPECT_EQ(to1[2].seq, 0u);  // (2, 1) counts independently of (0, 1)
-  EXPECT_EQ(to1[0].src_shard, 0);
-  EXPECT_EQ(to1[2].src_shard, 2);
-
-  std::vector<CrossShardPacket> to2;
-  take_ready(mb, 2, to2);
-  ASSERT_EQ(to2.size(), 2u);
-  EXPECT_EQ(flows_of(to2), (std::vector<FlowId>{2, 5}));
-  EXPECT_EQ(to2[0].seq, 0u);
-  EXPECT_EQ(to2[1].seq, 1u);
+  EXPECT_EQ(flows_of(drain(mb, 1)), (std::vector<FlowId>{1, 3, 4, 6}));
+  EXPECT_EQ(flows_of(drain(mb, 2)), (std::vector<FlowId>{2, 5, 7}));
+  EXPECT_TRUE(mb.all_empty());
 }
 
-TEST(ShardMailboxes, CanonicalInjectionOrderIsDeterministic) {
-  // Adversarial multi-source deposit pattern: equal arrivals from different
-  // shards, out-of-order arrivals within a shard, and ties broken only by
-  // (arrival, src shard, seq) — the exact sort the sharded runner applies
-  // before re-materializing (experiments/sharded.cc inject_inbox).
+TEST(ShardMailboxes, DrainOrderGivesCanonicalDeliveryOrder) {
+  // The sharded runner schedules each drained record straight into the
+  // destination's simulator, in drain order, with no sort.  The event queue
+  // pops equal timestamps first in, first out, so deliveries must run in
+  // (arrival, src shard, deposit order): equal arrivals from different
+  // shards, out-of-order arrivals within one shard, and an event the queue
+  // already held at a tied instant (flow 99) running first.
   ShardMailboxes mb(4);
   put(mb, 2, 0, make_rec(20, 500));
   put(mb, 2, 0, make_rec(21, 300));
   put(mb, 1, 0, make_rec(10, 500));
   put(mb, 3, 0, make_rec(30, 300));
   put(mb, 1, 0, make_rec(11, 300));
+  put(mb, 2, 0, make_rec(22, 300));
   publish(mb);
 
-  std::vector<CrossShardPacket> inbox;
-  take_ready(mb, 0, inbox);
-  ASSERT_EQ(inbox.size(), 5u);
-  std::sort(inbox.begin(), inbox.end(),
-            [](const CrossShardPacket& a, const CrossShardPacket& b) {
-              return std::make_tuple(a.arrival, a.src_shard, a.seq) <
-                     std::make_tuple(b.arrival, b.src_shard, b.seq);
-            });
-  // arrival 300: src 1 before src 2 before src 3; arrival 500: src 1
-  // before src 2.  Flow ids encode the deposit, so the order is total.
-  EXPECT_EQ(flows_of(inbox), (std::vector<FlowId>{11, 21, 30, 10, 20}));
+  sim::Simulator sim;
+  std::vector<FlowId> delivered;
+  sim.at(300, [&delivered] { delivered.push_back(99); });
+  in_worker([&](const sim::WorkerPhase& phase) {
+    mb.drain_ready(0, phase, [&](const CrossShardPacket& rec) {
+      const FlowId flow = rec.pkt.flow;
+      sim.at(rec.arrival, [&delivered, flow] { delivered.push_back(flow); });
+    });
+  });
+  sim.run();
+  // Arrival 300: src 1, then src 2 in deposit order, then src 3; arrival
+  // 500: src 1 before src 2.
+  EXPECT_EQ(delivered, (std::vector<FlowId>{99, 11, 21, 22, 30, 10, 20}));
+
+  // The same at volume: 600 deposits from three sources onto nine instants,
+  // enough for the queue to resize while the drain schedules them.
+  struct Deposit {
+    sim::Time arrival;
+    int src;
+    FlowId flow;
+  };
+  std::vector<Deposit> deposits;
+  sim::Rng rng(7);
+  for (FlowId f = 0; f < 600; ++f) {
+    const int src = static_cast<int>(rng.uniform_int(1, 3));
+    const sim::Time arrival = 1000 + 10 * rng.uniform_int(0, 8);
+    deposits.push_back({arrival, src, f});
+    put(mb, src, 0, make_rec(f, arrival));
+  }
+  publish(mb);
+  delivered.clear();
+  in_worker([&](const sim::WorkerPhase& phase) {
+    mb.drain_ready(0, phase, [&](const CrossShardPacket& rec) {
+      const FlowId flow = rec.pkt.flow;
+      sim.at(rec.arrival, [&delivered, flow] { delivered.push_back(flow); });
+    });
+  });
+  sim.run();
+  std::stable_sort(deposits.begin(), deposits.end(),
+                   [](const Deposit& a, const Deposit& b) {
+                     return a.arrival != b.arrival ? a.arrival < b.arrival
+                                                   : a.src < b.src;
+                   });
+  std::vector<FlowId> expected;
+  for (const Deposit& d : deposits) expected.push_back(d.flow);
+  EXPECT_EQ(delivered, expected);
 }
 
 TEST(ShardMailboxes, CellsAreReusedAcrossEpochs) {
   ShardMailboxes mb(2);
 
-  // Epoch 1.
-  put(mb, 0, 1, make_rec(1, 100));
+  // Epoch 1: a 3-hop packet.
+  put(mb, 0, 1, make_rec(1, 100, /*hops=*/3));
   publish(mb);
-  std::vector<CrossShardPacket> inbox;
-  take_ready(mb, 1, inbox);
+  std::vector<CrossShardPacket> inbox = drain(mb, 1);
   ASSERT_EQ(inbox.size(), 1u);
-  EXPECT_EQ(inbox[0].seq, 0u);
+  EXPECT_EQ(inbox[0].pkt.int_count, 3);
   EXPECT_TRUE(mb.all_empty());
 
-  // Epoch 2: the same (src, dst) cell carries fresh transfers; the drained
-  // ready cell must not replay epoch 1's records, and the pair's sequence
-  // counter keeps counting (it is a lifetime transfer count, which is what
-  // makes (arrival, src, seq) a total order across epochs).
-  put(mb, 0, 1, make_rec(2, 200));
+  // Epoch 2: the same (src, dst) cell carries fresh transfers in storage
+  // epoch 1 used.  The drained ready cell must not replay epoch 1's record,
+  // and the reused records must read as the new packets: same deposit
+  // order, new header, only the new packet's INT records.
+  put(mb, 0, 1, make_rec(2, 200, /*hops=*/1));
   put(mb, 0, 1, make_rec(3, 200));
-  inbox.clear();
-  take_ready(mb, 1, inbox);
-  EXPECT_TRUE(inbox.empty()) << "epoch 2 pending visible before publish";
+  EXPECT_TRUE(drain(mb, 1).empty()) << "epoch 2 pending visible before publish";
   publish(mb);
-  take_ready(mb, 1, inbox);
+  inbox = drain(mb, 1);
   ASSERT_EQ(inbox.size(), 2u);
   EXPECT_EQ(flows_of(inbox), (std::vector<FlowId>{2, 3}));
-  EXPECT_EQ(inbox[0].seq, 1u);
-  EXPECT_EQ(inbox[1].seq, 2u);
+  EXPECT_EQ(inbox[0].arrival, 200);
+  EXPECT_EQ(inbox[0].pkt.int_count, 1);
+  EXPECT_EQ(inbox[0].pkt.ints[0].tx_bytes, 2u);
+  EXPECT_EQ(inbox[1].pkt.int_count, 0);
+
+  // Epoch 3 swaps epoch 1's storage back in.
+  put(mb, 0, 1, make_rec(4, 300));
+  publish(mb);
+  EXPECT_EQ(flows_of(drain(mb, 1)), (std::vector<FlowId>{4}));
 
   EXPECT_TRUE(mb.all_empty());
-  EXPECT_EQ(mb.total_transfers(), 3u);
+  EXPECT_EQ(mb.total_transfers(), 4u);
 }
 
 TEST(ShardMailboxes, TotalTransfersCountsAllPairs) {
@@ -265,11 +309,7 @@ TEST(ShardMailboxes, TotalTransfersCountsAllPairs) {
   EXPECT_EQ(mb.total_transfers(), 4u);
   publish(mb);
   EXPECT_EQ(mb.total_transfers(), 4u);  // publish moves, never re-counts
-  std::vector<CrossShardPacket> inbox;
-  for (int d = 0; d < 3; ++d) {
-    inbox.clear();
-    take_ready(mb, d, inbox);
-  }
+  for (int d = 0; d < 3; ++d) drain(mb, d);
   EXPECT_TRUE(mb.all_empty());
   EXPECT_EQ(mb.total_transfers(), 4u);
 }
@@ -331,8 +371,8 @@ TEST(ShardMailboxes, ReleaseHorizonTracksEarliestUndrainedArrival) {
 TEST(ShardMailboxes, ReleaseHorizonSurvivesSkippedEpochs) {
   // An idle destination skips epochs without draining: its records stay
   // published, the horizon carries over publish() no-ops, and later
-  // transfers min-fold into it.  Only the owning reader's take_ready()
-  // resets the cell.
+  // transfers are appended behind the retained ones and min-fold into it.
+  // Only the owning reader's drain_ready() resets the cell.
   ShardMailboxes mb(2);
   put(mb, 0, 1, make_rec(1, 700));
   publish(mb);
@@ -344,10 +384,7 @@ TEST(ShardMailboxes, ReleaseHorizonSurvivesSkippedEpochs) {
   EXPECT_EQ(earliest_ready(mb, 1), 400);
   EXPECT_FALSE(mb.all_empty()) << "retained records must still count";
 
-  std::vector<CrossShardPacket> inbox;
-  take_ready(mb, 1, inbox);
-  ASSERT_EQ(inbox.size(), 2u);
-  EXPECT_EQ(flows_of(inbox), (std::vector<FlowId>{1, 2}));
+  EXPECT_EQ(flows_of(drain(mb, 1)), (std::vector<FlowId>{1, 2}));
   EXPECT_EQ(earliest_ready(mb, 1), sim::kMaxTime) << "drain must reset";
   EXPECT_TRUE(mb.all_empty());
   put(mb, 0, 1, make_rec(3, 900));

@@ -67,9 +67,9 @@ TEST(ShardedDatacenter, ThreadCountInvariance) {
   expect_identical(r1, r8);
 }
 
-// Pool hygiene across shard boundaries: a packet leaving pod A is
-// export_release'd from A's pool and re-materialized in B's, so after a
-// full drain every pool must be exactly empty — any nonzero live count is
+// Pool hygiene across shard boundaries: a packet leaving pod A is copied
+// out of A's pool and released there, then re-materialized in B's, so after
+// a full drain every pool must be exactly empty — any nonzero live count is
 // a leaked slot in the handoff path.
 TEST(ShardedDatacenter, CrossShardHandoffLeakFree) {
   ShardedRunStats stats;
