@@ -61,17 +61,18 @@ std::vector<int> Network::hop_distances(NodeId dst) const {
 }
 
 void Network::build_routes() {
+  std::vector<int> candidates;
   for (Host* dst : hosts_) {
     const std::vector<int> dist = hop_distances(dst->id());
     for (SwitchNode* sw : switches_) {
       if (dist[sw->id()] == std::numeric_limits<int>::max()) continue;
-      std::vector<int> candidates;
+      candidates.clear();
       for (int i = 0; i < sw->port_count(); ++i) {
         if (!sw->port(i).connected()) continue;
         const NodeId nb = sw->port(i).peer()->id();
         if (dist[nb] == dist[sw->id()] - 1) candidates.push_back(i);
       }
-      if (!candidates.empty()) sw->set_routes(dst->id(), std::move(candidates));
+      if (!candidates.empty()) sw->set_routes(dst->id(), candidates);
     }
   }
   routes_built_ = true;

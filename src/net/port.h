@@ -13,13 +13,14 @@
 // by a self-scheduled kick at tx_time only when a backlog exists.
 //
 // Bulk drain (DESIGN.md §11): while a backlog exists, one transmitter event
-// commits up to kMaxBurstPackets back-to-back serializations with a single
-// wire-clock update per burst.  Control packets always burst (FIFO within
-// the strict-priority class, so ordering and per-packet arrival instants are
-// unchanged); data packets extend a burst only toward a peer that coalesces
-// deliveries (hosts), keeping switch-to-switch strict-priority preemption
-// exact at packet granularity.  Chained packets to a coalescing peer share
-// one deliver_batch event at the last arrival instant.
+// commits up to kMaxBurstPackets back-to-back serializations, control and
+// data alike and toward any peer.  Each packet keeps its own serialization
+// start and arrival instant; strict priority is re-resolved at every burst
+// boundary, so a control packet queued mid-burst waits for the burst to end.
+// What depends on the peer is only how arrivals are delivered: packets
+// toward a peer that coalesces deliveries (hosts) are chained into one
+// deliver_batch event at the last arrival instant, while a switch peer gets
+// one delivery event per packet, so forwarding sees each arrival.
 #pragma once
 
 #include <cstdint>

@@ -226,19 +226,13 @@ class ShardMailboxes {
     }
   }
 
-  /// Release horizon of the (src, dst) ready cell: the earliest arrival
-  /// among its published-but-undrained transfers, sim::kMaxTime when the
-  /// cell is empty.  This is what lets an idle destination *skip* an epoch
-  /// without draining: retained records stay exactly as published, and the
-  /// planner consults the horizon instead of the records.
-  sim::Time ready_release(int src, int dst, const sim::BarrierPhase&) const {
-    return ready_[index(src, dst)].earliest;
-  }
-
   /// Earliest published-but-undrained arrival destined for `dst` over every
   /// source (the destination's inbound release horizon); sim::kMaxTime when
   /// nothing is in flight toward it.  The epoch planner reads it to size
-  /// horizons and pick the active set.
+  /// horizons and pick the active set.  Each ready cell keeps the min
+  /// arrival over its records (`Cell::earliest`), so an idle destination
+  /// can skip an epoch without draining: its retained records stay exactly
+  /// as published, and the planner reads this horizon instead of them.
   sim::Time earliest_ready(int dst, const sim::BarrierPhase&) const {
     sim::Time earliest = sim::kMaxTime;
     for (int src = 0; src < shards_; ++src) {

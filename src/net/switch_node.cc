@@ -1,11 +1,8 @@
 #include "net/switch_node.h"
 
 #include <cassert>
-#include <utility>
 
 namespace fastcc::net {
-
-const std::vector<int> SwitchNode::kNoRoutes{};
 
 namespace {
 // splitmix64: cheap, well-mixed 64-bit hash for ECMP selection.
@@ -17,8 +14,7 @@ std::uint64_t mix64(std::uint64_t x) {
 }
 }  // namespace
 
-void SwitchNode::set_routes(NodeId dst, std::vector<int> ports) {
-  if (routes_by_dst_.size() <= dst) routes_by_dst_.resize(dst + 1);
+void SwitchNode::set_routes(NodeId dst, const std::vector<int>& ports) {
   if (route_ref_.size() <= dst) route_ref_.resize(dst + 1, 0);
   assert(ports.size() < 256 && "ECMP fan-out exceeds the flat table's count byte");
   assert(flat_ports_.size() + ports.size() < (1u << 24) &&
@@ -26,12 +22,12 @@ void SwitchNode::set_routes(NodeId dst, std::vector<int> ports) {
   route_ref_[dst] = (static_cast<std::uint32_t>(ports.size()) << 24) |
                     static_cast<std::uint32_t>(flat_ports_.size());
   for (const int p : ports) flat_ports_.push_back(static_cast<std::int16_t>(p));
-  routes_by_dst_[dst] = std::move(ports);
 }
 
-const std::vector<int>& SwitchNode::routes(NodeId dst) const {
-  if (dst >= routes_by_dst_.size()) return kNoRoutes;
-  return routes_by_dst_[dst];
+std::span<const std::int16_t> SwitchNode::routes(NodeId dst) const {
+  if (dst >= route_ref_.size()) return {};
+  const std::uint32_t ref = route_ref_[dst];
+  return {flat_ports_.data() + (ref & 0xffffffu), ref >> 24};
 }
 
 int SwitchNode::select_port(NodeId dst, FlowId flow, NodeId src) const {

@@ -6,7 +6,9 @@
 // packets.  It alternates a single-threaded barrier step (`barrier_fn`:
 // publish mailboxes, plan the next epoch, decide whether to continue) with
 // one `shard_fn(s)` call per active shard, spread across `workers` OS
-// threads via an atomic work index, the calling thread participating.
+// threads, the calling thread participating.  Each shard has a home worker
+// that runs it whenever it can; a worker whose own shards are done steals
+// from the others' lanes.
 //
 // The two phases are types: `shard_fn` receives a WorkerPhase and
 // `barrier_fn` a BarrierPhase.  Only the executor can create either and
@@ -66,8 +68,14 @@ class EpochCoordinator {
   /// `workers` is clamped to [1, shards]; workers == 1 degenerates to a
   /// plain serial loop with no thread, atomic, or barrier anywhere on the
   /// path, so a single-worker sharded run is bit-identical to — and as
-  /// debuggable as — serial code.  An epoch with fewer active shards than
-  /// workers just parks the surplus at the barrier.
+  /// debuggable as — serial code.  With several workers, shard s's home is
+  /// worker s % workers (the calling thread is worker 0): each worker runs
+  /// the active shards of its own lane first, then steals from the lanes
+  /// after it, wrapping around, so every active shard runs exactly once per
+  /// epoch whatever the set's spread over homes.  Which worker runs a
+  /// shard is schedule-dependent and must not matter to `shard_fn`.  An
+  /// epoch with fewer active shards than workers just parks the surplus at
+  /// the barrier.
   static void run_active(int shards, int workers,
                          const std::vector<int>& active,
                          const ShardFn& shard_fn, const BarrierFn& barrier_fn);

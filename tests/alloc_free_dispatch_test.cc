@@ -7,6 +7,7 @@
 // not linked into fastcc_tests.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
@@ -18,14 +19,15 @@
 #include "net/packet.h"
 #include "net/packet_pool.h"
 #include "sim/calendar_queue.h"
+#include "sim/epoch.h"
 #include "sim/simulator.h"
 #include "test_util.h"
 #include "topo/fat_tree.h"
 
 namespace {
-// Not atomic: the simulator and these tests are single-threaded, and gtest
-// only spawns threads in death tests (unused here).
-std::size_t g_news = 0;
+// Atomic because the epoch-executor case below allocates, or must not, from
+// several worker threads at once.
+std::atomic<std::size_t> g_news{0};
 }  // namespace
 
 void* operator new(std::size_t size) {
@@ -267,6 +269,42 @@ TEST(AllocFreeDispatch, PacketPoolDrainsToZeroLiveHandles) {
   EXPECT_EQ(network.packet_pool().live_count(), 0u)
       << "a packet handle was never released";
   EXPECT_GT(network.packet_pool().capacity(), 0u);
+}
+
+// The epoch executor once its workers and barrier exist: claiming from
+// home lanes, stealing, the barrier, and the barrier step that regroups the
+// active set into lanes run out of storage sized at the start of the run.
+TEST(AllocFreeDispatch, EpochExecutorSteadyStateZeroAllocations) {
+  constexpr int kShards = 16;
+  constexpr int kEpochs = 100;
+  std::vector<int> active;
+  active.reserve(kShards);
+  std::atomic<int> runs{0};
+  int epochs = 0;
+  std::size_t before = 0;
+  std::size_t after = 0;
+  sim::EpochCoordinator::run_active(
+      kShards, /*workers=*/4, active,
+      [&](int, const sim::WorkerPhase&) {
+        runs.fetch_add(1, std::memory_order_relaxed);
+      },
+      [&](const sim::BarrierPhase&) {
+        if (epochs == 1) before = g_news;  // The first step with workers up.
+        if (epochs == kEpochs) {
+          after = g_news;
+          return false;
+        }
+        // A different spread over the four homes each epoch.
+        active.clear();
+        for (int s = epochs % 4; s < kShards; s += 1 + epochs % 3) {
+          active.push_back(s);
+        }
+        ++epochs;
+        return true;
+      });
+  ASSERT_EQ(epochs, kEpochs);
+  EXPECT_GT(runs.load(), 0);
+  EXPECT_EQ(after - before, 0u) << "an epoch of the executor allocated";
 }
 
 // Sanity check that the hook itself works, so the zero deltas above can't

@@ -37,7 +37,6 @@ template <typename Phase>
 concept CanReadHorizons = requires(const ShardMailboxes& mb,
                                    const Phase& phase) {
   mb.earliest_ready(0, phase);
-  mb.ready_release(0, 1, phase);
 };
 template <typename Phase>
 concept CanDrainReady = requires(ShardMailboxes& mb, const Phase& phase,
@@ -116,14 +115,6 @@ sim::Time earliest_ready(const ShardMailboxes& mb, int dst) {
   sim::Time t = 0;
   in_barrier([&](const sim::BarrierPhase& phase) {
     t = mb.earliest_ready(dst, phase);
-  });
-  return t;
-}
-
-sim::Time ready_release(const ShardMailboxes& mb, int src, int dst) {
-  sim::Time t = 0;
-  in_barrier([&](const sim::BarrierPhase& phase) {
-    t = mb.ready_release(src, dst, phase);
   });
   return t;
 }
@@ -350,22 +341,26 @@ TEST(ShardLookahead, KeepsMinimumParallelLinkAndMarksUnreachable) {
 }
 
 TEST(ShardMailboxes, ReleaseHorizonTracksEarliestUndrainedArrival) {
-  // The planner sizes epoch horizons from ready_release()/earliest_ready()
-  // instead of peeking at records; the horizon must therefore be exactly
-  // the min arrival over the published-but-undrained cells — and nothing
-  // pending may leak into it before the barrier.
+  // The planner sizes epoch horizons from earliest_ready() instead of
+  // peeking at records; the horizon must therefore be exactly the min
+  // arrival over the published-but-undrained cells toward a destination,
+  // from every source — and nothing pending may leak into it before the
+  // barrier.
   ShardMailboxes mb(3);
   EXPECT_EQ(earliest_ready(mb, 1), sim::kMaxTime);
   put(mb, 0, 1, make_rec(1, 500));
-  put(mb, 2, 1, make_rec(2, 300));
   EXPECT_EQ(earliest_ready(mb, 1), sim::kMaxTime)
       << "pending deposits visible to the planner before publish";
   publish(mb);
-  EXPECT_EQ(ready_release(mb, 0, 1), 500);
-  EXPECT_EQ(ready_release(mb, 2, 1), 300);
-  EXPECT_EQ(ready_release(mb, 1, 1), sim::kMaxTime);  // empty cell
-  EXPECT_EQ(earliest_ready(mb, 1), 300);
+  EXPECT_EQ(earliest_ready(mb, 1), 500);
+  put(mb, 2, 1, make_rec(2, 300));
+  EXPECT_EQ(earliest_ready(mb, 1), 500)
+      << "a pending deposit from a second source leaked before publish";
+  publish(mb);
+  EXPECT_EQ(earliest_ready(mb, 1), 300)
+      << "the second source's cell must fold in";
   EXPECT_EQ(earliest_ready(mb, 0), sim::kMaxTime);
+  EXPECT_EQ(earliest_ready(mb, 2), sim::kMaxTime);
 }
 
 TEST(ShardMailboxes, ReleaseHorizonSurvivesSkippedEpochs) {
@@ -453,6 +448,67 @@ TEST(EpochCoordinator, FalseSeedingBarrierRunsNoShard) {
     for (const std::vector<int>& calls : log.calls) {
       EXPECT_TRUE(calls.empty()) << "a shard ran after a false seeding step";
     }
+  }
+}
+
+TEST(EpochCoordinator, EveryActiveShardRunsOncePerEpoch) {
+  // Shard s's home is worker s % workers, and a worker out of home shards
+  // steals from the other lanes.  Whatever the active set's spread over
+  // homes — all on one home, so every other worker must steal all of its
+  // work; fewer shards than workers; a random subset in random order —
+  // each listed shard runs exactly once in its epoch and no other shard
+  // runs.  runs[s] is written only by the worker running shard s and read
+  // and reset only by the barrier step, the same discipline as EpochLog.
+  constexpr int kShards = 16;
+  constexpr int kEpochs = 200;
+  for (const int workers : {2, 3, 4, 16}) {
+    SCOPED_TRACE(workers);
+    Rng rng(static_cast<std::uint64_t>(workers));
+    std::vector<int> active;
+    std::vector<int> runs(kShards, 0);
+    std::vector<int> expected(kShards, 0);
+    int epochs = 0;
+    int bad_epochs = 0;
+    EpochCoordinator::run_active(
+        kShards, workers, active,
+        [&](int s, const WorkerPhase&) { ++runs[static_cast<std::size_t>(s)]; },
+        [&](const BarrierPhase&) {
+          std::fill(expected.begin(), expected.end(), 0);
+          for (const int s : active) expected[static_cast<std::size_t>(s)] = 1;
+          if (runs != expected) ++bad_epochs;
+          std::fill(runs.begin(), runs.end(), 0);
+          if (epochs == kEpochs) return false;
+          active.clear();
+          switch (epochs++ % 3) {
+            case 0: {  // Every shard of one home, e.g. {0, 4, 8, 12} at 4.
+              const int home =
+                  static_cast<int>(rng.uniform_int(0, workers - 1));
+              for (int s = home; s < kShards; s += workers) active.push_back(s);
+              break;
+            }
+            case 1: {  // Fewer shards than workers (one at 2 workers).
+              const int n = static_cast<int>(
+                  rng.uniform_int(1, std::max(1, workers - 1)));
+              while (static_cast<int>(active.size()) < n) {
+                const int s = static_cast<int>(rng.uniform_int(0, kShards - 1));
+                if (std::count(active.begin(), active.end(), s) == 0) {
+                  active.push_back(s);
+                }
+              }
+              break;
+            }
+            default:  // A random subset of any size.
+              for (int s = 0; s < kShards; ++s) {
+                if (rng.chance(0.5)) active.push_back(s);
+              }
+              break;
+          }
+          std::shuffle(active.begin(), active.end(), rng.engine());
+          return true;
+        });
+    EXPECT_EQ(epochs, kEpochs);
+    EXPECT_EQ(bad_epochs, 0)
+        << "an epoch ran a listed shard other than once, or an unlisted one";
   }
 }
 
