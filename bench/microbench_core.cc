@@ -376,9 +376,8 @@ BENCHMARK(BM_Incast256)->Unit(benchmark::kMillisecond);
 /// flows fanned out to 64 receivers over a star, so every returning ACK
 /// stream converges on the single sender-side link and arrives as dense
 /// multi-flow deliver_batch chains.  This is the worst case for the
-/// per-batch flow dedup and the one-CC/arbiter-pass-per-flow coalescing —
-/// the slab's ACK storm shape, where per-packet work must stay on hot
-/// lanes.  Items = simulator events.
+/// per-batch flow dedup and the one-CC/arbiter-pass-per-flow coalescing.
+/// Items = simulator events.
 void BM_AckBatchDrain(benchmark::State& state) {
   constexpr int kFlows = 64;
   std::uint64_t events = 0;

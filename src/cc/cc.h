@@ -32,9 +32,8 @@ class CongestionControl {
  public:
   virtual ~CongestionControl() = default;
 
-  /// Initializes per-flow state (e.g. line-rate start window).  The view's
-  /// references may point into a FlowSlab or a standalone FlowTx; either
-  /// way the controller only sees the hot fields and the path constants.
+  /// Initializes per-flow state (e.g. line-rate start window).  The view
+  /// exposes only the flow's hot fields and path constants.
   virtual void on_flow_start(net::FlowView flow) = 0;
 
   /// Reacts to one acknowledgement, mutating the flow's window/rate.

@@ -1,6 +1,7 @@
 // Flow specification and per-flow sender state.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 
@@ -27,17 +28,16 @@ struct FlowSpec {
 /// allows it).  The controller itself lives inline (cc::CcEngine), so the
 /// whole per-flow sender state is one contiguous, heap-free block.
 ///
-/// Slab residency (DESIGN.md §11): inside a Host, this record is the *cold*
-/// half of the flow.  At start_flow the hot fields (snd_nxt, cum_acked,
-/// window_bytes, rate, next_tx_time, pacing_queued, rate_contribution, the
-/// progress counters) are copied into the host's FlowSlab struct-of-arrays
-/// and `hot_idx` points at the slab slot; the members here then hold the
-/// *install-time* values until the flow finishes (or Host::flow() is
-/// queried), at which point the slab writes the final values back and the
-/// record becomes the self-contained archive the completion callback and
-/// post-run queries read.  Standalone records (unit tests driving a
-/// controller directly) never enter a slab and behave exactly as before.
+/// Inside a Host this record is the flow's only state: the send loop, the
+/// ACK path, the timers and the NIC arbiter read and write it in the flow
+/// table, controllers reach it through a FlowView, and it stays there as
+/// the archive the completion callback and post-run queries read.  Field
+/// order is layout (DESIGN.md §11.1): the fields those per-packet paths
+/// touch come first and fill the record's first two cache lines, ahead of
+/// the loss-recovery and timer state that moves once per flow-lifetime
+/// event.
 struct FlowTx {
+  // ---- Per-packet fields: the first 128 bytes. ----
   FlowSpec spec;
 
   std::uint64_t snd_nxt = 0;     ///< Next payload byte to send.
@@ -55,6 +55,15 @@ struct FlowTx {
   sim::Time finish_time = -1;    ///< Sender saw the final cumulative ACK.
   bool finished() const { return finish_time >= 0; }
 
+  sim::Time last_progress_time = 0;
+
+  // Pacing bookkeeping (owned by Host).  A flow waiting out its pacing gap
+  // holds one entry in the host NIC arbiter's ready queue instead of a
+  // per-flow timer event; `pacing_queued` guards that at most one entry per
+  // flow exists.
+  sim::Time next_tx_time = 0;
+  bool pacing_queued = false;
+
   std::uint64_t acks_received = 0;
 
   // ---- Loss recovery (go-back-N) ----
@@ -67,21 +76,13 @@ struct FlowTx {
   std::uint32_t dup_acks = 0;
   /// cum_acked value the dup_acks count was taken against.  Lets the dup
   /// counter reset lazily on the (rare) duplicate path instead of writing a
-  /// cold field on every in-order ACK: any progress changes cum_acked, so a
-  /// mismatch here means "first dup of a new stall".
+  /// loss-recovery field on every in-order ACK: any progress changes
+  /// cum_acked, so a mismatch here means "first dup of a new stall".
   std::uint64_t dup_base = 0;
   sim::Time rto = 0;               ///< 0 = derive as 3 x base_rtt at start.
-  sim::Time last_progress_time = 0;
   sim::Time last_retransmit_time = -1;
   sim::TimerId rto_timer = 0;      ///< On the host's timing wheel.
   bool rto_timer_armed = false;
-
-  // Pacing bookkeeping (owned by Host).  A flow waiting out its pacing gap
-  // holds one entry in the host NIC arbiter's ready queue instead of a
-  // per-flow timer event; `pacing_queued` guards that at most one entry per
-  // flow exists.
-  sim::Time next_tx_time = 0;
-  bool pacing_queued = false;
 
   // Controller-internal deadline (DCQCN recovery), mirrored onto the host
   // wheel; cc_timer_at caches the armed deadline so unchanged deadlines
@@ -89,17 +90,7 @@ struct FlowTx {
   sim::TimerId cc_timer = 0;
   sim::Time cc_timer_at = -1;
 
-  /// This flow's current contribution to Host::total_send_rate(): its
-  /// min(rate, line_rate) while unfinished, else 0.  Maintained by the Host
-  /// wherever the controller can change `rate` (see sync_rate_contribution).
-  sim::Rate rate_contribution = 0.0;
-
   cc::CcEngine cc;
-
-  /// Slab slot while the flow is in flight inside a Host; kInvalidFlowIdx
-  /// for standalone records and once the flow has finished (the slot is
-  /// swap-compacted away and the final values live here again).
-  FlowIdx hot_idx = kInvalidFlowIdx;
 
   std::uint64_t inflight_bytes() const { return snd_nxt - cum_acked; }
   bool all_sent() const { return snd_nxt >= spec.size_bytes; }
@@ -112,8 +103,12 @@ struct FlowTx {
       std::numeric_limits<double>::max() / 4;
 };
 
-/// View over a standalone record's own members (declared in flow_view.h;
-/// defined here where FlowTx is complete).
+// The per-packet fields above the loss-recovery state fit in 128 bytes.
+static_assert(offsetof(FlowTx, acks_received) + sizeof(std::uint64_t) <= 128,
+              "FlowTx's per-packet fields must fit its first two cache lines");
+
+/// View over a record's own members (declared in flow_view.h; defined here
+/// where FlowTx is complete).
 inline FlowView::FlowView(FlowTx& f)
     : FlowView(f.snd_nxt, f.cum_acked, f.window_bytes, f.rate, f.next_tx_time,
                f.line_rate, f.base_rtt, f.mtu, f.path_hops) {}

@@ -1,19 +1,17 @@
 // FlowView: the controller-facing window onto one flow's sender state.
 //
-// The data-layout pass (DESIGN.md §11) split per-flow sender state in two:
-// the per-ACK hot quartet-plus (snd_nxt, cum_acked, window_bytes, rate,
-// next_tx_time, ...) lives in the per-host struct-of-arrays FlowSlab, while
-// the cold remainder (FlowSpec, loss recovery, timers, the CC engine itself)
-// stays in the FlowTx record.  Congestion controllers never see either
-// container: they receive a FlowView — a bundle of references into the hot
-// arrays plus the per-flow path constants by value — so the same controller
-// code runs against a slab-resident flow (simulation) or a standalone FlowTx
-// (unit tests), and the hot members keep their historical field names
-// (`flow.window_bytes = ...` reads as before).
+// Congestion controllers never see the FlowTx record itself: they receive a
+// FlowView — references to the hot members they may write (snd_nxt,
+// cum_acked, window_bytes, rate, next_tx_time) plus the per-flow path
+// constants by value.  Inside a Host the references point into the flow's
+// own record in the flow table; unit tests and replay harnesses build the
+// same view over a standalone FlowTx, so one controller codebase serves
+// both, and the hot members keep their record field names
+// (`flow.window_bytes = ...`).
 //
 // Lifetime: a FlowView borrows; it must not outlive the statement batch it
-// was created for.  In particular, FlowSlab::install() may reallocate the
-// hot arrays, so no view may be held across a flow installation.
+// was created for.  The Host's flow table relocates records when it grows,
+// so no view may be held across a flow installation.
 #pragma once
 
 #include <cstdint>
@@ -24,14 +22,8 @@ namespace fastcc::net {
 
 struct FlowTx;
 
-/// Dense per-host slab index of an unfinished flow.  Assigned at
-/// Host::start_flow, recycled (swap-compaction) when the flow finishes.
-using FlowIdx = std::uint32_t;
-inline constexpr FlowIdx kInvalidFlowIdx = 0xffffffffu;
-
 struct FlowView {
-  // ---- Hot state: references into the FlowSlab arrays (or into a
-  // standalone FlowTx's own members). ----
+  // ---- Hot state: references into the flow's record. ----
   std::uint64_t& snd_nxt;     ///< Next payload byte to send.
   std::uint64_t& cum_acked;   ///< Highest cumulatively acked byte.
   double& window_bytes;
@@ -58,10 +50,9 @@ struct FlowView {
         mtu(mtu_v),
         path_hops(path_hops_v) {}
 
-  /// A view over a standalone FlowTx record's own hot members (unit tests,
-  /// pre-install records).  Implicit by design so `cc.on_ack(ctx, flow)`
-  /// keeps reading naturally at direct-call sites; defined inline in
-  /// net/flow.h once FlowTx is complete.
+  /// A view over a FlowTx record's own members.  Implicit by design so
+  /// `cc.on_ack(ctx, flow)` reads naturally at every call site; defined
+  /// inline in net/flow.h once FlowTx is complete.
   FlowView(FlowTx& f);  // NOLINT
 };
 

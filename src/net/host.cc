@@ -18,44 +18,10 @@ void Host::start_flow(FlowTx flow) {
   ++active_flows_;
   if (f.rto == 0) f.rto = std::max<sim::Time>(3 * f.base_rtt, min_rto_);
   f.last_progress_time = sim_->now();
-  const FlowIdx i = slab_.install(f);
-  f.cc.on_flow_start(slab_.view(i));
-  sync_rate_contribution(i);
+  f.cc.on_flow_start(f);
   sync_cc_timer(f);
-  slab_.next_tx_time[i] = sim_->now();
-  try_send(i);
-}
-
-const FlowTx* Host::flow(FlowId fid) const {
-  const FlowTx* f = tx_flows_.find(fid);
-  if (f != nullptr && f->hot_idx != kInvalidFlowIdx) {
-    // Live flow: refresh the record from the slab so the caller sees
-    // current progress.  The record is the flow's own archive, so this
-    // write-back is logically const on the Host.
-    slab_.write_back(f->hot_idx, const_cast<FlowTx&>(*f));
-  }
-  return f;
-}
-
-sim::Rate Host::total_send_rate_recomputed() const {
-  // Flows are visited in start order (insertion order), so this double
-  // accumulation is reproducible run to run.  Unfinished flows read their
-  // live rate from the slab; finished ones contribute nothing.
-  sim::Rate sum = 0.0;
-  for (const auto& [fid, f] : tx_flows_) {
-    if (f.hot_idx != kInvalidFlowIdx) {
-      sum += std::min(slab_.rate[f.hot_idx], slab_.line_rate[f.hot_idx]);
-    }
-  }
-  return sum;
-}
-
-void Host::sync_rate_contribution(FlowIdx i) {
-  const sim::Rate want = std::min(slab_.rate[i], slab_.line_rate[i]);
-  if (want != slab_.rate_contribution[i]) {
-    rate_sum_ += want - slab_.rate_contribution[i];
-    slab_.rate_contribution[i] = want;
-  }
+  f.next_tx_time = sim_->now();
+  try_send(f);
 }
 
 void Host::receive(PacketRef ref, int in_port) {
@@ -79,8 +45,8 @@ void Host::receive(PacketRef ref, int in_port) {
 
 void Host::deliver_batch(PacketRef first, int in_port) {
   // One pass applies every packet's cheap per-ACK update; the expensive
-  // follow-up (completion, rate-sum, CC-timer sync, window/pacing probe,
-  // arbiter fix-up) then runs once per touched flow, in first-appearance
+  // follow-up (completion, CC-timer sync, window/pacing probe, arbiter
+  // fix-up) then runs once per touched flow, in first-appearance
   // order.  The chain never exceeds the burst cap, so the dedup scratch is
   // a fixed stack array and the whole path allocates nothing.  Flows are
   // held by id, not pointer: a completion callback may start a new flow,
@@ -121,14 +87,13 @@ void Host::deliver_batch(PacketRef first, int in_port) {
   }
   for (int t = 0; t < n_touched; ++t) {
     FlowTx* f = tx_flows_.find(touched[t]);
-    if (f != nullptr && f->hot_idx != kInvalidFlowIdx) ack_finalize(*f);
+    if (f != nullptr && !f->finished()) ack_finalize(*f);
   }
 }
 
 void Host::handle_data(const Packet& p) {
   assert(p.dst == id());
   RxState& rx = rx_flows_[p.flow];
-  rx.bytes_received += p.payload_bytes;
   // Cumulative in-order tracking: a gap (upstream drop) freezes expected_seq
   // and the resulting duplicate ACKs trigger the sender's go-back-N.
   if (p.seq <= rx.expected_seq) {
@@ -157,22 +122,22 @@ void Host::handle_data(const Packet& p) {
 FlowTx* Host::ack_apply(const Packet& p) {
   FlowTx* fp = tx_flows_.find(p.flow);
   if (fp == nullptr) return nullptr;
-  const FlowIdx i = fp->hot_idx;
-  if (i == kInvalidFlowIdx) return nullptr;  // already finished
-  // Fully-acked flow still awaiting its deferred finalize (completion landed
-  // earlier in this same batch): absorb trailing ACKs exactly as the
-  // unbatched path absorbed post-finish ones.
-  if (slab_.cum_acked[i] >= slab_.size_bytes[i]) return nullptr;
-  ++slab_.acks_received[i];
+  FlowTx& f = *fp;
+  // A fully-acked flow absorbs trailing ACKs: one that has finished, and
+  // one whose completion landed earlier in this same batch and still awaits
+  // its deferred finalize (exactly as the unbatched path absorbed
+  // post-finish ones).
+  if (f.cum_acked >= f.spec.size_bytes) return nullptr;
+  ++f.acks_received;
 
-  if (p.seq <= slab_.cum_acked[i]) {
-    on_dup_ack(*fp, i);
+  if (p.seq <= f.cum_acked) {
+    on_dup_ack(f);
     return nullptr;
   }
 
-  const auto newly = static_cast<std::uint32_t>(p.seq - slab_.cum_acked[i]);
-  slab_.cum_acked[i] = p.seq;
-  slab_.last_progress_time[i] = sim_->now();
+  const auto newly = static_cast<std::uint32_t>(p.seq - f.cum_acked);
+  f.cum_acked = p.seq;
+  f.last_progress_time = sim_->now();
 
   cc::AckContext ctx;
   ctx.now = sim_->now();
@@ -182,47 +147,43 @@ FlowTx* Host::ack_apply(const Packet& p) {
   ctx.ecn = p.ecn;
   ctx.cnp = p.cnp;
   ctx.ints = std::span<const IntRecord>(p.ints.data(), p.int_count);
-  fp->cc.on_ack(ctx, slab_.view(i));
+  f.cc.on_ack(ctx, f);
   return fp;
 }
 
-void Host::on_dup_ack(FlowTx& f, FlowIdx i) {
+void Host::on_dup_ack(FlowTx& f) {
   // Duplicate cumulative ACK: the receiver saw a gap.  The dup counter
   // resets lazily — any progress moved cum_acked, so a stale dup_base means
   // "first dup of a new stall" (this keeps the in-order ACK path free of
-  // cold-field writes).  Triple-dup triggers fast retransmit (go-back-N),
+  // loss-recovery writes).  Triple-dup triggers fast retransmit (go-back-N),
   // rate-limited to one rewind per RTT so the stale ACKs of an already-
   // rewound window cannot re-trigger it.
-  if (f.dup_base != slab_.cum_acked[i]) {
-    f.dup_base = slab_.cum_acked[i];
+  if (f.dup_base != f.cum_acked) {
+    f.dup_base = f.cum_acked;
     f.dup_acks = 0;
   }
   ++f.dup_acks;
-  if (f.dup_acks >= 3 && slab_.snd_nxt[i] > slab_.cum_acked[i] &&
+  if (f.dup_acks >= 3 && f.snd_nxt > f.cum_acked &&
       (f.last_retransmit_time < 0 ||
        sim_->now() - f.last_retransmit_time >= f.base_rtt)) {
-    retransmit_from_cum_ack(f, i);
-    try_send(i);
+    retransmit_from_cum_ack(f);
+    try_send(f);
   }
 }
 
 void Host::ack_finalize(FlowTx& f) {
-  const FlowIdx i = f.hot_idx;
-  assert(i != kInvalidFlowIdx);
-  if (slab_.cum_acked[i] >= slab_.size_bytes[i]) {
-    finish_flow(f, i);
+  assert(!f.finished());
+  if (f.cum_acked >= f.spec.size_bytes) {
+    finish_flow(f);
     return;
   }
-  sync_rate_contribution(i);
   sync_cc_timer(f);
-  try_send(i);
+  try_send(f);
 }
 
-void Host::finish_flow(FlowTx& f, FlowIdx i) {
-  // The arbiter entry (if one is queued) dies on pop: the compacted slot no
-  // longer resolves to this flow.
-  slab_.pacing_queued[i] = 0;
-  slab_.write_back(i, f);  // final hot values become the archive
+void Host::finish_flow(FlowTx& f) {
+  // The arbiter entry (if one is queued) dies on pop.
+  f.pacing_queued = false;
   f.finish_time = sim_->now();
   assert(active_flows_ > 0);
   --active_flows_;
@@ -231,91 +192,73 @@ void Host::finish_flow(FlowTx& f, FlowIdx i) {
     f.rto_timer_armed = false;
   }
   sync_cc_timer(f);  // finished: cancels any pending CC deadline
-  // Contribution drops to zero.
-  rate_sum_ -= f.rate_contribution;
-  f.rate_contribution = 0.0;
-  const auto [moved, moved_id] = slab_.compact(i);
-  f.hot_idx = kInvalidFlowIdx;
-  if (moved) {
-    FlowTx* m = tx_flows_.find(moved_id);
-    assert(m != nullptr);
-    m->hot_idx = i;
-  }
+  // Last use of `f`: the callback may start flows, which relocates records.
   if (on_complete_) on_complete_(f);
 }
 
-void Host::try_send(FlowIdx i) {
-  // Slab-complete send loop: every load below hits the hot or constant
-  // lanes; the cold record is touched only by arm_rto_timer afterwards,
-  // and only when a packet actually left.
+void Host::try_send(FlowTx& f) {
+  // Every load in the loop hits the record's first two cache lines; the
+  // timer state is touched only by arm_rto_timer afterwards, and only when
+  // a packet actually left.
   bool sent = false;
-  while (!slab_.all_sent(i)) {
+  while (!f.all_sent()) {
     const std::uint32_t payload = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(slab_.mtu[i],
-                                slab_.size_bytes[i] - slab_.snd_nxt[i]));
+        std::min<std::uint64_t>(f.mtu, f.spec.size_bytes - f.snd_nxt));
     // Window gate: always allow one packet in flight so sub-MTU windows make
     // progress (pacing then sets the speed, as in Swift's cwnd < 1 regime).
-    const std::uint64_t inflight = slab_.inflight_bytes(i);
+    const std::uint64_t inflight = f.inflight_bytes();
     const bool window_ok =
         inflight == 0 ||
-        static_cast<double>(inflight + payload) <= slab_.window_bytes[i];
+        static_cast<double>(inflight + payload) <= f.window_bytes;
     if (!window_ok) break;  // an ACK will reopen the window
-    if (sim_->now() < slab_.next_tx_time[i]) {
-      arm_pacing(i);
+    if (sim_->now() < f.next_tx_time) {
+      arm_pacing(f);
       break;
     }
     // Allocate once, here at the sender; downstream the packet travels only
     // as a PacketRef handle.
     const PacketRef ref = packet_pool()->alloc();
-    init_data(packet_pool()->get(ref), slab_.flow_id[i], id(), slab_.dst[i],
-              slab_.snd_nxt[i], payload, sim_->now());
-    slab_.snd_nxt[i] += payload;
+    init_data(packet_pool()->get(ref), f.spec.id, id(), f.spec.dst, f.snd_nxt,
+              payload, sim_->now());
+    f.snd_nxt += payload;
     // Pace on wire bytes at the flow's current rate (capped at line rate —
     // the NIC cannot serialize faster even if CC asks for more).
-    const sim::Rate pace = std::min(slab_.rate[i], slab_.line_rate[i]);
+    const sim::Rate pace = std::min(f.rate, f.line_rate);
     assert(pace > 0.0);
-    slab_.next_tx_time[i] =
-        std::max(slab_.next_tx_time[i], sim_->now()) +
-        sim::serialization_time(payload + kHeaderBytes, pace);
+    f.next_tx_time = std::max(f.next_tx_time, sim_->now()) +
+                     sim::serialization_time(payload + kHeaderBytes, pace);
     assert(port_count() > 0 && port(0).connected());
     port(0).enqueue(ref);
     sent = true;
   }
-  if (sent) {
-    FlowTx* f = tx_flows_.find(slab_.flow_id[i]);
-    assert(f != nullptr);
-    arm_rto_timer(*f);
-  }
+  if (sent) arm_rto_timer(f);
 }
 
-void Host::retransmit_from_cum_ack(FlowTx& f, FlowIdx i) {
-  assert(slab_.snd_nxt[i] > slab_.cum_acked[i]);
-  f.bytes_retransmitted += slab_.snd_nxt[i] - slab_.cum_acked[i];
+void Host::retransmit_from_cum_ack(FlowTx& f) {
+  assert(f.snd_nxt > f.cum_acked);
+  f.bytes_retransmitted += f.snd_nxt - f.cum_acked;
   ++f.retransmit_events;
   f.dup_acks = 0;
   f.last_retransmit_time = sim_->now();
-  slab_.last_progress_time[i] = sim_->now();  // restart the RTO clock
-  slab_.snd_nxt[i] = slab_.cum_acked[i];
-  slab_.next_tx_time[i] = std::max(slab_.next_tx_time[i], sim_->now());
+  f.last_progress_time = sim_->now();  // restart the RTO clock
+  f.snd_nxt = f.cum_acked;
+  f.next_tx_time = std::max(f.next_tx_time, sim_->now());
 }
 
 void Host::arm_rto_timer(FlowTx& f) {
-  if (f.rto_timer_armed || f.hot_idx == kInvalidFlowIdx) return;
+  if (f.rto_timer_armed || f.finished()) return;
   f.rto_timer_armed = true;
   const FlowId fid = f.spec.id;
-  const sim::Time deadline = std::max(
-      slab_.last_progress_time[f.hot_idx] + f.rto, sim_->now() + 1);
+  const sim::Time deadline =
+      std::max(f.last_progress_time + f.rto, sim_->now() + 1);
   f.rto_timer = wheel().arm(deadline, [this, fid] {
     FlowTx* flow_state = tx_flows_.find(fid);
-    if (flow_state == nullptr || flow_state->hot_idx == kInvalidFlowIdx) {
-      return;
-    }
+    if (flow_state == nullptr || flow_state->finished()) return;
     flow_state->rto_timer_armed = false;
-    const FlowIdx i = flow_state->hot_idx;
-    if (slab_.inflight_bytes(i) == 0) return;  // re-armed on next send
-    if (sim_->now() - slab_.last_progress_time[i] >= flow_state->rto) {
-      retransmit_from_cum_ack(*flow_state, i);
-      try_send(i);
+    if (flow_state->inflight_bytes() == 0) return;  // re-armed on next send
+    if (sim_->now() - flow_state->last_progress_time >= flow_state->rto) {
+      retransmit_from_cum_ack(*flow_state);
+      try_send(*flow_state);
     }
     arm_rto_timer(*flow_state);
   });
@@ -334,22 +277,19 @@ void Host::sync_cc_timer(FlowTx& f) {
 
 void Host::cc_tick(FlowId fid) {
   FlowTx* f = tx_flows_.find(fid);
-  if (f == nullptr || f->hot_idx == kInvalidFlowIdx) return;
+  if (f == nullptr || f->finished()) return;
   f->cc_timer_at = -1;  // the armed deadline just fired
-  const FlowIdx i = f->hot_idx;
-  f->cc.on_timer(sim_->now(), slab_.view(i));
-  sync_rate_contribution(i);
+  f->cc.on_timer(sim_->now(), *f);
   sync_cc_timer(*f);
 }
 
-void Host::arm_pacing(FlowIdx i) {
-  if (slab_.pacing_queued[i] != 0) return;
-  slab_.pacing_queued[i] = 1;
-  pacing_heap_.push_back(
-      PacingEntry{slab_.next_tx_time[i], slab_.flow_id[i], i});
+void Host::arm_pacing(FlowTx& f) {
+  if (f.pacing_queued) return;
+  f.pacing_queued = true;
+  pacing_heap_.push_back(PacingEntry{f.next_tx_time, f.spec.id});
   std::push_heap(pacing_heap_.begin(), pacing_heap_.end());
   // Inside the arbiter's own drain loop the tail re-arm covers new entries.
-  if (!in_nic_tick_) arm_nic_timer(slab_.next_tx_time[i]);
+  if (!in_nic_tick_) arm_nic_timer(f.next_tx_time);
 }
 
 void Host::arm_nic_timer(sim::Time at) {
@@ -360,15 +300,6 @@ void Host::arm_nic_timer(sim::Time at) {
   nic_timer_ = wheel().arm(at, [this] { nic_tick(); });
 }
 
-FlowIdx Host::resolve_idx(FlowId fid, FlowIdx hint) const {
-  if (hint < slab_.size() && slab_.flow_id[hint] == fid) return hint;
-  // Compaction moved (or removed) the flow since the hint was cached: fall
-  // back to the cold record's authoritative hot_idx.  A finished flow
-  // resolves to kInvalidFlowIdx — the caller skips it.
-  const FlowTx* f = tx_flows_.find(fid);
-  return f != nullptr ? f->hot_idx : kInvalidFlowIdx;
-}
-
 void Host::nic_tick() {
   nic_timer_armed_ = false;
   nic_timer_at_ = -1;
@@ -376,15 +307,14 @@ void Host::nic_tick() {
   const sim::Time now = sim_->now();
   while (!pacing_heap_.empty() && pacing_heap_.front().at <= now) {
     std::pop_heap(pacing_heap_.begin(), pacing_heap_.end());
-    const PacingEntry e = pacing_heap_.back();
+    FlowTx* f = tx_flows_.find(pacing_heap_.back().id);
     pacing_heap_.pop_back();
-    const FlowIdx i = resolve_idx(e.id, e.idx);
     // Entries are hints: skip flows that finished or already got service
-    // (their pacing_queued lane was cleared); a flow whose next_tx_time
-    // moved later simply re-queues from try_send.
-    if (i == kInvalidFlowIdx || slab_.pacing_queued[i] == 0) continue;
-    slab_.pacing_queued[i] = 0;
-    try_send(i);
+    // (both clear pacing_queued); a flow whose next_tx_time moved later
+    // simply re-queues from try_send.
+    if (f == nullptr || !f->pacing_queued) continue;
+    f->pacing_queued = false;
+    try_send(*f);
   }
   in_nic_tick_ = false;
   if (!pacing_heap_.empty()) arm_nic_timer(pacing_heap_.front().at);

@@ -13,13 +13,16 @@
 // deadlines are wheel entries.  The simulator sees at most one pending
 // event per host.
 //
-// Data layout (DESIGN.md §11): the per-ACK hot half of every unfinished
-// flow lives in a struct-of-arrays FlowSlab; the insertion-ordered flow
-// table keeps only the cold remainder (FlowSpec, loss recovery, timers, the
-// CC engine) plus the archive of finished flows.  Hosts coalesce chained
-// deliver_batch() arrivals: all ACKs of one wire burst fold into a single
-// per-flow CC/arbiter update pass (one window/pacing/heap fix-up per flow
-// per batch instead of per ACK).
+// Each flow's sender state is one FlowTx record in the insertion-ordered
+// flow table (DESIGN.md §11.1), live while the flow runs and kept as its
+// archive afterwards.  Hosts coalesce chained deliver_batch() arrivals: all
+// ACKs of one wire burst fold into a single per-flow CC/arbiter update pass
+// (one window/pacing/heap fix-up per flow per batch instead of per ACK).
+//
+// A FlowTx& into the table is valid only until the next flow starts: the
+// table relocates records when it grows.  The one call on these paths that
+// can start a flow is the completion callback, so host code holds records
+// by reference only up to it and by FlowId across it.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +30,6 @@
 #include <vector>
 
 #include "net/flow.h"
-#include "net/flow_slab.h"
 #include "net/node.h"
 #include "util/ordered_map.h"
 
@@ -59,25 +61,16 @@ class Host : public Node {
   /// PFC-bounded queueing delay, so lossless runs never time out spuriously.
   void set_min_rto(sim::Time t) { min_rto_ = t; }
 
-  /// Read access to a flow's state record.  For a still-running flow the
-  /// slab's current hot values are written back into the record first, so
-  /// mid-run queries (progress sampling) observe live state.
-  const FlowTx* flow(FlowId id) const;
+  /// Read access to a flow's state record: live progress while the flow
+  /// runs, its final values once it has finished.
+  const FlowTx* flow(FlowId id) const { return tx_flows_.find(id); }
   std::size_t active_flow_count() const { return active_flows_; }
-
-  /// Sum of current pacing rates of unfinished flows (fairness sampling).
-  /// O(1): maintained incrementally via the slab's rate_contribution lane.
-  sim::Rate total_send_rate() const { return rate_sum_; }
-
-  /// The O(n) reference sum, retained for the equivalence test that pins the
-  /// incremental bookkeeping to the definition.
-  sim::Rate total_send_rate_recomputed() const;
 
   /// Hosts terminate flows, so they accept burst-coalesced deliveries (see
   /// Node::coalesces_deliveries).
   bool coalesces_deliveries() const override { return true; }
 
-  /// Batched arrival: one pass over the chain applies every ACK's hot-state
+  /// Batched arrival: one pass over the chain applies every ACK's per-ACK
   /// update, then each touched flow gets exactly one completion / pacing /
   /// arbiter follow-up.
   void deliver_batch(PacketRef first, int in_port) override;
@@ -87,57 +80,47 @@ class Host : public Node {
 
  private:
   void handle_data(const Packet& p);
-  /// Per-ACK hot-state update (progress, AckContext, CC callout).  Returns
-  /// the flow's cold record when it needs an ack_finalize() follow-up, null
-  /// when the ACK was absorbed (unknown/finished flow, duplicate).
+  /// Per-ACK update (progress, AckContext, CC callout).  Returns the flow's
+  /// record when it needs an ack_finalize() follow-up, null when the ACK
+  /// was absorbed (unknown/finished flow, duplicate).
   FlowTx* ack_apply(const Packet& p);
-  /// Once per touched flow per delivery: completion check, rate-sum and CC
-  /// timer sync, and the (single) send/arbiter follow-up.
+  /// Once per touched flow per delivery: completion check, CC timer sync,
+  /// and the (single) send/arbiter follow-up.
   void ack_finalize(FlowTx& f);
-  /// Duplicate-cumulative-ACK path: dup counting against the slab's current
+  /// Duplicate-cumulative-ACK path: dup counting against the current
   /// cum_acked and (rate-limited) go-back-N fast retransmit.
-  void on_dup_ack(FlowTx& f, FlowIdx i);
-  /// Completion: final hot values written back to the cold record, timers
-  /// cancelled, the slab slot swap-compacted away.
-  void finish_flow(FlowTx& f, FlowIdx i);
-  void try_send(FlowIdx i);
-  /// Queues slab slot `i` with the NIC arbiter for service at its
-  /// next_tx_time.
-  void arm_pacing(FlowIdx i);
+  void on_dup_ack(FlowTx& f);
+  /// Completion: timers cancelled, then the completion callback, which may
+  /// start flows and so relocate `f`.
+  void finish_flow(FlowTx& f);
+  void try_send(FlowTx& f);
+  /// Queues `f` with the NIC arbiter for service at its next_tx_time.
+  void arm_pacing(FlowTx& f);
   /// Ensures the arbiter's wheel timer covers a wakeup at `at`.
   void arm_nic_timer(sim::Time at);
   /// NIC arbiter wakeup: serves every due pacing-blocked flow in
   /// (next_tx_time, FlowId) order, then re-arms for the next one.
   void nic_tick();
-  /// Revalidates a (FlowId, FlowIdx-hint) pair against the slab; falls back
-  /// to the flow table when compaction moved or removed the slot.
-  FlowIdx resolve_idx(FlowId fid, FlowIdx hint) const;
   void arm_rto_timer(FlowTx& f);
   /// Mirrors the controller's internal deadline (if any) onto the wheel.
   void sync_cc_timer(FlowTx& f);
   void cc_tick(FlowId fid);
-  /// Re-derives slot `i`'s rate contribution after any controller callout
-  /// and folds the delta into rate_sum_.
-  void sync_rate_contribution(FlowIdx i);
   /// Go-back-N: rewinds snd_nxt to the cumulative ACK point.
-  void retransmit_from_cum_ack(FlowTx& f, FlowIdx i);
+  void retransmit_from_cum_ack(FlowTx& f);
 
   struct RxState {
-    std::uint64_t bytes_received = 0;  ///< Raw arrivals (incl. duplicates).
-    std::uint64_t expected_seq = 0;    ///< Next in-order byte (cumulative).
+    std::uint64_t expected_seq = 0;  ///< Next in-order byte (cumulative).
     sim::Time last_cnp_time = -1;
   };
 
   /// NIC arbiter ready-queue entry.  Entries are scheduling *hints*: a
   /// flow's next_tx_time may move later after its entry was pushed (the
-  /// entry then wakes the arbiter early and the flow simply re-queues), a
-  /// finished flow's entry dies on pop, and `idx` is only a cache of the
-  /// slab slot at push time — compaction may have moved the flow since, so
-  /// pops revalidate through resolve_idx().
+  /// entry then wakes the arbiter early and the flow simply re-queues), and
+  /// a pop looks the flow up again, skipping it once it has finished or no
+  /// longer has pacing_queued set.
   struct PacingEntry {
     sim::Time at = 0;
     FlowId id = 0;
-    FlowIdx idx = kInvalidFlowIdx;
     /// std::push/pop_heap build a max-heap; invert to serve the earliest
     /// (next_tx_time, FlowId) first — the deterministic tie-break.
     bool operator<(const PacingEntry& o) const {
@@ -146,15 +129,10 @@ class Host : public Node {
     }
   };
 
-  /// Hot per-flow state of unfinished flows (struct-of-arrays).
-  FlowSlab slab_;
-  // Cold records + finished-flow archive.  Insertion-ordered so that
-  // aggregate walks (the equivalence recompute's double accumulation) visit
-  // flows in start order, not hash order.
+  // Running flows and the finished-flow archive, in start order.
   util::InsertionOrderedMap<FlowId, FlowTx> tx_flows_;
   util::InsertionOrderedMap<FlowId, RxState> rx_flows_;
   std::size_t active_flows_ = 0;
-  sim::Rate rate_sum_ = 0.0;
   std::vector<PacingEntry> pacing_heap_;
   sim::TimerId nic_timer_ = 0;
   sim::Time nic_timer_at_ = -1;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "net/network.h"
 #include "sim/simulator.h"
@@ -23,7 +24,7 @@ struct HostHarness : ::testing::Test {
 
   void SetUp() override {
     topo::StarParams params;
-    params.host_count = 3;
+    params.host_count = 5;
     star = build_star(network, params);
   }
 
@@ -130,35 +131,120 @@ TEST_F(HostHarness, ConcurrentFlowsShareTheNic) {
   EXPECT_GT(simulator.now(), 2 * 100 * 1048 * 8 / 1000 / 2);
 }
 
-TEST_F(HostHarness, IncrementalRateSumMatchesRecompute) {
-  // Host::total_send_rate() folds per-flow deltas into a running sum (O(1)
-  // per CC update) instead of summing all flows per monitor sample.  It must
-  // track the O(n) recompute through flow start, rate divergence, and the
-  // contribution dropping to zero at finish — within FP accumulation error.
+TEST_F(HostHarness, MidRunQueryShowsLiveProgress) {
   Host* src = star.hosts[0];
-  Host* d1 = star.hosts[1];
-  Host* d2 = star.hosts[2];
-  src->start_flow(make_flow(1, src, d1, 200'000,
-                            std::make_unique<FixedCc>(1e12, sim::gbps(40))));
-  src->start_flow(make_flow(2, src, d2, 50'000,
-                            std::make_unique<FixedCc>(1e12, sim::gbps(25))));
-  int samples = 0;
-  for (int i = 1; i <= 40; ++i) {
-    simulator.after(i * 2 * sim::kMicrosecond, [&] {
-      ++samples;
-      EXPECT_NEAR(src->total_send_rate(), src->total_send_rate_recomputed(),
-                  1e-6 * (1.0 + src->total_send_rate_recomputed()))
-          << "at t=" << simulator.now();
-    });
-  }
+  src->start_flow(make_flow(1, src, star.hosts[1], 2'000'000,
+                            std::make_unique<FixedCc>(1e12, sim::gbps(100))));
+  src->start_flow(make_flow(2, src, star.hosts[2], 2'000'000,
+                            std::make_unique<FixedCc>(1e12, sim::gbps(50))));
+
+  // Stop mid-transfer: both flows are in flight.
+  simulator.run(/*until=*/40 * sim::kMicrosecond);
+  ASSERT_EQ(src->active_flow_count(), 2u);
+  const FlowTx* f1 = src->flow(1);
+  const FlowTx* f2 = src->flow(2);
+  ASSERT_NE(f1, nullptr);
+  ASSERT_NE(f2, nullptr);
+  EXPECT_GT(f1->snd_nxt, 0u);
+  EXPECT_GT(f1->cum_acked, 0u);
+  EXPECT_GE(f1->snd_nxt, f1->cum_acked);
+  EXPECT_GT(f1->acks_received, 0u);
+  EXPECT_FALSE(f1->finished());
+  // The 2x rate gap shows up in the live progress counters.
+  EXPECT_GT(f1->cum_acked, f2->cum_acked);
+
   simulator.run();
-  EXPECT_EQ(samples, 40);
-  // Both flows done: the incremental sum must have returned exactly to the
-  // recomputed value (zero), not drifted.
-  EXPECT_TRUE(src->flow(1)->finished());
-  EXPECT_TRUE(src->flow(2)->finished());
-  EXPECT_NEAR(src->total_send_rate(), 0.0, 1e-6);
-  EXPECT_EQ(src->total_send_rate_recomputed(), 0.0);
+  f1 = src->flow(1);
+  ASSERT_TRUE(f1->finished());
+  EXPECT_EQ(f1->cum_acked, 2'000'000u);
+  EXPECT_EQ(f1->snd_nxt, 2'000'000u);
+  EXPECT_EQ(src->active_flow_count(), 0u);
+}
+
+TEST_F(HostHarness, OutOfOrderFinishKeepsSurvivorsCorrect) {
+  // Sizes are staggered so flow 2 (smallest) finishes first while 1 and 3
+  // still fly, then 3, then 1: the survivors' state and their NIC-arbiter
+  // entries must keep working across each finish.
+  Host* src = star.hosts[0];
+  src->start_flow(make_flow(1, src, star.hosts[1], 900'000,
+                            std::make_unique<FixedCc>(1e12, sim::gbps(30))));
+  src->start_flow(make_flow(2, src, star.hosts[2], 60'000,
+                            std::make_unique<FixedCc>(1e12, sim::gbps(30))));
+  src->start_flow(make_flow(3, src, star.hosts[3], 500'000,
+                            std::make_unique<FixedCc>(1e12, sim::gbps(30))));
+  std::vector<FlowId> finish_order;
+  src->set_completion_callback(
+      [&](const FlowTx& f) { finish_order.push_back(f.spec.id); });
+
+  simulator.run(/*until=*/40 * sim::kMicrosecond);
+  ASSERT_EQ(finish_order, (std::vector<FlowId>{2}));
+  ASSERT_EQ(src->active_flow_count(), 2u);
+  const std::uint64_t acked1 = src->flow(1)->cum_acked;
+  const std::uint64_t acked3 = src->flow(3)->cum_acked;
+  EXPECT_GT(acked3, 0u);
+
+  simulator.run(/*until=*/60 * sim::kMicrosecond);
+  EXPECT_GT(src->flow(1)->cum_acked, acked1);
+  EXPECT_GT(src->flow(3)->cum_acked, acked3);
+
+  simulator.run();
+  EXPECT_EQ(finish_order, (std::vector<FlowId>{2, 3, 1}));
+  for (FlowId id = 1; id <= 3; ++id) {
+    const FlowTx* f = src->flow(id);
+    ASSERT_TRUE(f->finished()) << "flow " << id;
+    EXPECT_EQ(f->cum_acked, f->spec.size_bytes) << "flow " << id;
+  }
+}
+
+TEST_F(HostHarness, CompletionCallbackMayStartFlows) {
+  // Each completion starts the next flow of its chain on the same host, so
+  // the flow table grows, relocating every record, from inside ACK
+  // handling.  A line-rate reverse flow backlogs the switch port into src,
+  // so the three chains' ACKs arrive as mixed deliver_batch() chains: the
+  // table's growths to 8 and 16 entries land while another flow of the
+  // same batch still awaits its finalize.  Holding that flow's record across the
+  // callback, instead of its FlowId, is a use-after-free ASan reports here.
+  Host* src = star.hosts[0];
+  constexpr int kChains = 3;
+  constexpr FlowId kPerChain = 16;
+  const std::uint64_t size_of_chain[kChains] = {20'000, 30'000, 40'000};
+  auto start_chain_flow = [&](FlowId id) {
+    const int chain = static_cast<int>((id - 1) % kChains);
+    src->start_flow(make_flow(id, src, star.hosts[1 + chain],
+                              size_of_chain[chain],
+                              std::make_unique<FixedCc>(1e12, sim::gbps(30))));
+  };
+  std::vector<FlowId> finished;
+  src->set_completion_callback([&](const FlowTx& f) {
+    // Read the record before start_flow relocates it.
+    const FlowId id = f.spec.id;
+    EXPECT_TRUE(f.finished());
+    EXPECT_EQ(f.cum_acked, f.spec.size_bytes) << "flow " << id;
+    finished.push_back(id);
+    if (id + kChains <= kChains * kPerChain) start_chain_flow(id + kChains);
+  });
+  star.hosts[4]->start_flow(
+      make_flow(1000, star.hosts[4], src, 4'000'000,
+                std::make_unique<FixedCc>(1e12, sim::gbps(100))));
+  for (FlowId id = 1; id <= kChains; ++id) start_chain_flow(id);
+  simulator.run();
+
+  ASSERT_EQ(finished.size(), kChains * kPerChain);
+  // Within a chain, flows complete in start order.
+  FlowId next_of_chain[kChains] = {1, 2, 3};
+  for (FlowId id : finished) {
+    FlowId& expected = next_of_chain[(id - 1) % kChains];
+    EXPECT_EQ(id, expected);
+    expected += kChains;
+  }
+  for (FlowId id = 1; id <= kChains * kPerChain; ++id) {
+    const FlowTx* f = src->flow(id);
+    ASSERT_NE(f, nullptr) << "flow " << id;
+    EXPECT_TRUE(f->finished()) << "flow " << id;
+    EXPECT_EQ(f->cum_acked, f->spec.size_bytes) << "flow " << id;
+    EXPECT_EQ(f->snd_nxt, f->spec.size_bytes) << "flow " << id;
+  }
+  EXPECT_EQ(src->active_flow_count(), 0u);
 }
 
 TEST_F(HostHarness, CompletionCallbackFiresOnce) {
