@@ -17,11 +17,6 @@ bench/run_core_bench.sh:
     {"benchmarks": [{"name": ..., "events_per_second": ...}, ...]}
 FRESH.json may also be raw google-benchmark JSON ({"benchmarks":
 [{"name": ..., "items_per_second": ...}]}); both spellings are accepted.
-Records may carry optional perf-counter columns (a "perf" dict per
-benchmark, attached by run_core_bench.sh when `perf stat -j` works).
-Counters are reported informationally when both sides have them and warned
-about when only one side does; they never gate — hosts without perf_event
-access must still be able to run the comparison.
 
 Interleaved A/B mode: instead of comparing two recorded files, launch the
 given google-benchmark BINARY 2 x rounds times, alternating strictly
@@ -47,7 +42,7 @@ import sys
 
 
 def load_rates(path):
-    """Returns ({benchmark name: events/sec}, {name: perf-counter dict})."""
+    """Returns {benchmark name: events/sec}."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
@@ -55,7 +50,6 @@ def load_rates(path):
         print(f"error: cannot read {path}: {e}", file=sys.stderr)
         sys.exit(2)
     rates = {}
-    perf = {}
     for b in doc.get("benchmarks", []):
         rate = b.get("events_per_second", b.get("items_per_second"))
         name = b.get("name")
@@ -63,47 +57,10 @@ def load_rates(path):
         if name is None or rate is None or b.get("run_type") == "aggregate":
             continue
         rates[name] = float(rate)
-        # Optional perf-counter columns (run_core_bench.sh attaches them only
-        # when a working `perf` existed at record time).
-        if isinstance(b.get("perf"), dict):
-            perf[name] = b["perf"]
     if not rates:
         print(f"error: no benchmarks with rates in {path}", file=sys.stderr)
         sys.exit(2)
-    return rates, perf
-
-
-def report_perf_columns(shared, base_perf, fresh_perf):
-    """Informational perf-counter comparison; never affects the exit code.
-
-    The counter columns are optional by design — CI VMs and containers
-    without perf_event access produce records without them — so a missing
-    side warns rather than fails, and the gate stays a pure events/sec
-    comparison either way.
-    """
-    if not base_perf and not fresh_perf:
-        return
-    if base_perf and not fresh_perf:
-        print("warning: perf counters present in baseline only (no working "
-              "perf on this host?); counter columns not compared")
-        return
-    if fresh_perf and not base_perf:
-        print("warning: perf counters present in fresh run only (baseline "
-              "predates the profiling harness?); counter columns not "
-              "compared")
-        return
-    for name in shared:
-        b, f = base_perf.get(name), fresh_perf.get(name)
-        if not b or not f:
-            continue
-        cells = []
-        for key, label in (("ipc", "ipc"),
-                           ("llc_misses_per_kevent", "LLC-miss/kevt"),
-                           ("branch_miss_rate", "br-miss-rate")):
-            if b.get(key) is not None and f.get(key) is not None:
-                cells.append(f"{label} {b[key]:.3g} -> {f[key]:.3g}")
-        if cells:
-            print(f"{'perf':>10}  {name}: {', '.join(cells)}")
+    return rates
 
 
 def measure_once(binary, name):
@@ -209,8 +166,8 @@ def main():
         parser.error("baseline and fresh files are required "
                      "(or use --interleave)")
 
-    base, base_perf = load_rates(args.baseline)
-    fresh, fresh_perf = load_rates(args.fresh)
+    base = load_rates(args.baseline)
+    fresh = load_rates(args.fresh)
     shared = sorted(base.keys() & fresh.keys())
     if not shared:
         print("error: baseline and fresh run share no benchmark names",
@@ -226,8 +183,6 @@ def main():
             failures.append(name)
         print(f"{verdict:>10}  {name}: {base[name]:,.0f} -> "
               f"{fresh[name]:,.0f} events/s ({ratio - 1.0:+.1%} vs baseline)")
-
-    report_perf_columns(shared, base_perf, fresh_perf)
 
     for name in sorted(base.keys() - fresh.keys()):
         print(f"{'missing':>10}  {name}: in baseline only (not compared)")

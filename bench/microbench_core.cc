@@ -94,36 +94,6 @@ void BM_CalendarQueueRollingHorizonPacket(benchmark::State& state) {
 }
 BENCHMARK(BM_CalendarQueueRollingHorizonPacket)->Unit(benchmark::kMillisecond);
 
-// Cancel-heavy retransmit-timer pattern: every "ACK" event cancels the
-// flow's pending RTO timer and re-arms it further out, exactly what
-// Host::handle_ack does per flow completion.  Stresses the cancellation
-// bookkeeping (formerly a hash set per schedule/pop, now a generation-
-// stamped slot table) and the lazy reclamation of tombstoned entries.
-void BM_CalendarQueueCancelHeavy(benchmark::State& state) {
-  const int flows = 256;
-  for (auto _ : state) {
-    sim::CalendarQueue q;
-    std::vector<std::uint64_t> rto_timer(flows);
-    sim::Time now = 0;
-    for (int f = 0; f < flows; ++f) {
-      q.schedule(f % 100, [] {});                       // first "ACK"
-      rto_timer[f] = q.schedule(10'000 + f, [] {});     // pending RTO
-    }
-    int flow = 0;
-    for (int i = 0; i < 100'000; ++i) {
-      now = q.pop_and_run();
-      q.cancel(rto_timer[flow]);
-      rto_timer[flow] = q.schedule(now + 10'000, [] {});  // re-armed RTO
-      q.schedule(now + 80 + (i * 37) % 400, [] {});       // next ACK
-      flow = (flow + 1) % flows;
-    }
-    for (int f = 0; f < flows; ++f) q.cancel(rto_timer[f]);
-    while (!q.empty()) q.pop_and_run();
-  }
-  state.SetItemsProcessed(state.iterations() * 100'000);
-}
-BENCHMARK(BM_CalendarQueueCancelHeavy)->Unit(benchmark::kMillisecond);
-
 // A datacenter run's two populations (the stream of CalendarQueue's
 // packed-day test): 4,000 flow starts queued up front a microsecond apart,
 // which calibrate a microsecond-scale day, and a wave of 1,000 packet

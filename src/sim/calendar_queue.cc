@@ -27,34 +27,15 @@ void CalendarQueue::set_width(Time width) {
   width_shift_ = std::countr_zero(w);
 }
 
-void CalendarQueue::drop_dead(std::vector<Entry>& bucket) {
-  // An entry physically present whose handle is no longer live was cancelled
-  // (pops remove entries eagerly), so it can be reclaimed here lazily.  With
-  // no cancellations outstanding there is nothing to look for, and the
-  // per-entry slot-pool lookups (a cache miss each) are skipped wholesale.
-  if (pending_dead_ == 0) return;
-  for (std::size_t i = 0; i < bucket.size();) {
-    if (!slots_.is_live(bucket[i].id)) {
-      reclaim_at(bucket, i);
-    } else {
-      ++i;
-    }
-  }
-}
-
 void CalendarQueue::extract_day(std::vector<Entry>& bucket, Time day_start,
                                 Time day_end) {
-  // One fused pass: cancelled entries are reclaimed in the same sweep that
-  // tests day membership, and membership is an interval check against the
-  // day's [start, end) window rather than a per-entry division.  In-day
-  // entries move wholesale into today_; off-day entries (later laps of the
-  // wrapped bucket, within kCalendarLaps) stay put.
+  // Membership is an interval check against the day's [start, end) window
+  // rather than a per-entry division.  In-day entries move wholesale into
+  // today_ (swap-with-back removal re-examines the swapped-in tail at index
+  // i); off-day entries (later laps of the wrapped bucket, within
+  // kCalendarLaps) stay put.  Physical order within a bucket is irrelevant:
+  // today_ is sorted by (at, seq), and seq is unique.
   for (std::size_t i = 0; i < bucket.size();) {
-    if (pending_dead_ != 0 && !slots_.is_live(bucket[i].id)) {
-      // Swap-with-back removal re-examines the swapped-in tail at index i.
-      reclaim_at(bucket, i);
-      continue;
-    }
     const Entry& e = bucket[i];
     if (e.at >= day_start && e.at < day_end) {
       today_.push_back(e);
@@ -82,13 +63,11 @@ void CalendarQueue::advance_horizon(std::uint64_t day) {
   const Time horizon = lap_horizon(day);
   if (horizon <= horizon_) return;
   horizon_ = horizon;
-  // Most far_ entries are retransmission timers, and most of those are
-  // cancelled (re-armed further out) before they come due: reclaim them in
-  // the same pass rather than move them into a bucket to be reclaimed there.
+  // One pass over the unsorted far_ per lap.  It stays short because
+  // retransmission timers live on the nodes' TimingWheels: per node, far_
+  // holds at most its wheel's few wakeups, not one entry per timer.
   for (std::size_t i = 0; i < far_.size();) {
-    if (pending_dead_ != 0 && !slots_.is_live(far_[i].id)) {
-      reclaim_at(far_, i);
-    } else if (far_[i].at < horizon_) {
+    if (far_[i].at < horizon_) {
       push(buckets_[bucket_of(far_[i].at)], far_[i]);
       far_[i] = far_.back();
       far_.pop_back();
@@ -140,7 +119,7 @@ void CalendarQueue::refill_today() {
     // Where the head is as dense as the day (every timestamp is shared by
     // several entries), it calibrates no narrower and nothing is rebuilt.
     if (today_.size() <= kPackedDay || today_.front().at == today_.back().at ||
-        extracted_ < slots_.live()) {
+        extracted_ < size()) {
       return;
     }
     extracted_ = 0;
@@ -151,10 +130,10 @@ void CalendarQueue::refill_today() {
 
 void CalendarQueue::extract_next_day() {
   assert(!today_active_ && today_.empty() && today_pos_ == 0);
-  assert(slots_.live() > 0);
+  assert(!empty());
   const std::size_t mask = buckets_.size() - 1;
   // Phase 1: walk day-by-day from the last popped timestamp; the first day
-  // holding a live event is extracted wholesale.  Every entry outside the
+  // holding an event is extracted wholesale.  Every entry outside the
   // winning day fires at or after its day_end, strictly later than anything
   // inside it, so the extracted-and-sorted array is a prefix of the global
   // pop order.
@@ -177,12 +156,10 @@ void CalendarQueue::extract_next_day() {
   // than all of them.  With the buckets empty, jump the calendar to the
   // earliest far_ entry, which moves it (and its lap) into the buckets.
   Time earliest = std::numeric_limits<Time>::max();
-  for (auto& bucket : buckets_) {
-    drop_dead(bucket);
+  for (const auto& bucket : buckets_) {
     for (const Entry& e : bucket) earliest = std::min(earliest, e.at);
   }
   if (earliest == std::numeric_limits<Time>::max()) {
-    drop_dead(far_);
     assert(!far_.empty());
     for (const Entry& e : far_) earliest = std::min(earliest, e.at);
     advance_horizon(static_cast<std::uint64_t>(earliest) >> width_shift_);
@@ -200,25 +177,15 @@ void CalendarQueue::extract_next_day() {
 }
 
 const CalendarQueue::Entry* CalendarQueue::peek_front() {
-  while (true) {
-    if (slots_.live() == 0) return nullptr;
-    if (!today_active_) refill_today();
-    // Cancelled-under-the-cursor entries are skipped (and their slots
-    // reclaimed) here; extraction only filtered the dead known at scan time.
-    while (today_pos_ < today_.size()) {
-      const Entry& e = today_[today_pos_];
-      if (pending_dead_ != 0 && !slots_.is_live(e.id)) {
-        slots_.release(e.id);
-        --pending_dead_;
-        ++today_pos_;
-        continue;
-      }
-      return &e;
-    }
+  if (today_pos_ == today_.size()) {
+    // The day is drained (or none is active): retire it and extract the next.
     today_.clear();
     today_pos_ = 0;
     today_active_ = false;
+    if (empty()) return nullptr;
+    refill_today();
   }
+  return &today_[today_pos_];
 }
 
 void CalendarQueue::insert_today(const Entry& e) {
@@ -305,9 +272,7 @@ Time CalendarQueue::head_width() {
   // of them at a cost proportional to the sample, not the population.  Only
   // a population sparser than kHeadSample per lap falls back to a full pass.
   head_times_.clear();
-  const auto take = [this](const Entry& e) {
-    if (pending_dead_ == 0 || slots_.is_live(e.id)) head_times_.push_back(e.at);
-  };
+  const auto take = [this](const Entry& e) { head_times_.push_back(e.at); };
   for (std::size_t i = today_pos_; i < today_.size(); ++i) take(today_[i]);
   std::uint64_t day =
       static_cast<std::uint64_t>(today_active_ ? today_end_ : last_popped_) >>
@@ -357,12 +322,10 @@ void CalendarQueue::rebuild(std::size_t new_bucket_count) {
   if (today_active_) flush_today();
   set_width(head_width());
   std::vector<Entry> all;
-  all.reserve(slots_.live());
-  for (auto& bucket : buckets_) {
-    drop_dead(bucket);
+  all.reserve(size());
+  for (const auto& bucket : buckets_) {
     all.insert(all.end(), bucket.begin(), bucket.end());
   }
-  drop_dead(far_);
   all.insert(all.end(), far_.begin(), far_.end());
   far_.clear();
   buckets_.clear();

@@ -6,9 +6,11 @@
 // hash into "day" buckets by timestamp.  Events at equal timestamps pop in
 // insertion order; property tests pin the pop sequence to a sorted
 // reference.  The bucket count doubles/halves as the population grows/
-// shrinks.  Cancellation uses a generation-stamped slot pool
-// (EventSlotPool), which also owns the callbacks, so buckets hold only
-// 24-byte entries and schedule/pop never touch a hash set.
+// shrinks.  The queue is append-only: every scheduled event runs.  Timers
+// that may be withdrawn (retransmission, pacing, rate recovery) live on the
+// nodes' TimingWheels, which cancel in O(1).  Callbacks sit in a slot vector
+// with a free list, so buckets hold only 24-byte {time, seq, slot} entries
+// and moving an entry never moves a callback.
 //
 // Sizing follows the head of the queue, not the whole population.  Every
 // rebuild calibrates the day width from the earliest entries (Brown's
@@ -39,9 +41,9 @@
 #include <bit>
 #include <cassert>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
-#include "sim/event_handle.h"
 #include "sim/time.h"
 #include "sim/unique_function.h"
 
@@ -50,30 +52,28 @@ namespace fastcc::sim {
 class CalendarQueue {
  public:
   using Callback = UniqueFunction;
-  using Id = std::uint64_t;
 
   explicit CalendarQueue(std::size_t initial_buckets = 16,
                          Time initial_width = 1 * kMicrosecond);
 
-  Id schedule(Time at, Callback cb) {
+  void schedule(Time at, Callback cb) {
     assert(at >= 0);
     // Most events land many days out (propagation delays span dozens of
     // calendar days), so the destination bucket's header is almost always
-    // cold.  Issue its fetch first: it overlaps the whole slot-acquire
-    // (callback move) below, and push_back's size/capacity load — the one
-    // dependent stall on this path — then hits warm.
+    // cold.  Issue its fetch first: it overlaps the callback move into its
+    // slot below, and push_back's size/capacity load — the one dependent
+    // stall on this path — then hits warm.
     __builtin_prefetch(&buckets_[bucket_of(at)]);
-    const std::uint64_t seq = next_seq_++;
-    const Id id = slots_.acquire(std::move(cb));
+    const Entry e{at, next_seq_++, store(std::move(cb))};
     if (today_active_) {
       if (at < today_end_ && at >= today_start_) {
         // The event lands inside the day currently being drained: insert it
         // in (time, seq) order after the drain cursor.  `seq` is the largest
         // issued, so FIFO among equal timestamps means "after every equal
         // entry" — upper_bound by time alone finds that spot.
-        insert_today(Entry{at, seq, id});
+        insert_today(e);
         maybe_resize();
-        return id;
+        return;
       }
       if (at < today_start_) {
         // Scheduled behind the active day (bounded runs can advance the
@@ -84,42 +84,28 @@ class CalendarQueue {
       }
     }
     if (at < horizon_) {
-      push(buckets_[bucket_of(at)], Entry{at, seq, id});
+      push(buckets_[bucket_of(at)], e);
     } else {
-      far_.push_back(Entry{at, seq, id});
+      far_.push_back(e);
     }
     maybe_resize();
-    return id;
   }
 
-  bool cancel(Id id) {
-    // The slot pool answers in O(1); the ordering entry — in a bucket, in
-    // far_ or in today_ — is reclaimed lazily the next time a scan or the
-    // drain cursor passes over it.  `pending_dead_` counts exactly those
-    // physically-present-but-cancelled entries, so scans skip the per-entry
-    // liveness lookup entirely while the count is zero — the overwhelmingly
-    // common state, since simulations cancel timers rarely (a retransmission
-    // timer on flow completion) but pop constantly.
-    if (!slots_.cancel(id)) return false;
-    ++pending_dead_;
-    return true;
-  }
-
-  bool empty() const { return slots_.live() == 0; }
-  std::size_t size() const { return slots_.live(); }
+  bool empty() const { return size() == 0; }
+  std::size_t size() const { return cbs_.size() - free_.size(); }
 
   /// Entries of storage held for ordering: the summed capacity of the
   /// buckets, today_, far_ and the spare bucket storage.
   std::size_t reserved_entries() const;
 
-  /// Timestamp of the earliest live event.  Precondition: !empty().
+  /// Timestamp of the earliest event.  Precondition: !empty().
   Time next_time();
 
-  /// Pops and runs the earliest live event; returns its timestamp.
+  /// Pops and runs the earliest event; returns its timestamp.
   /// Precondition: !empty().
   Time pop_and_run();
 
-  /// If the earliest live event fires at or before `until`, removes it,
+  /// If the earliest event fires at or before `until`, removes it,
   /// moves its callback into `out`, and returns its timestamp; otherwise
   /// returns kNoEventTime and leaves the queue untouched.  This is the
   /// simulator's hot path: almost every call pops straight off the sorted
@@ -134,9 +120,10 @@ class CalendarQueue {
       // execution.  (A scheduler-supplied prefetch hint per entry was tried
       // and removed: it grew the 24-byte Entry to 32, costing ~30% on the
       // pure schedule/pop benchmarks for no measurable end-to-end win.)
-      slots_.prefetch(today_[today_pos_].id);
+      __builtin_prefetch(&cbs_[today_[today_pos_].slot]);
     }
-    slots_.release_into(entry.id, out);
+    out = std::move(cbs_[entry.slot]);
+    free_.push_back(entry.slot);
     last_popped_ = entry.at;
     return entry.at;
   }
@@ -144,9 +131,24 @@ class CalendarQueue {
  private:
   struct Entry {
     Time at;
-    std::uint64_t seq;  // monotonically increasing; breaks ties FIFO
-    Id id;              // callback lives in the slot pool under this handle
+    std::uint64_t seq;   // monotonically increasing; breaks ties FIFO
+    // Index of the callback in cbs_.  A full word, so an Entry is three
+    // words with no padding: a 4-byte slot plus padding measured ~20%
+    // slower on BM_SimulatorSelfRescheduling (interleaved A/B).
+    std::uint64_t slot;
   };
+
+  /// Moves `cb` into a free slot of cbs_ and returns its index.
+  std::uint64_t store(Callback&& cb) {
+    if (free_.empty()) {
+      cbs_.push_back(std::move(cb));
+      return cbs_.size() - 1;
+    }
+    const std::uint64_t slot = free_.back();
+    free_.pop_back();
+    cbs_[slot] = std::move(cb);
+    return slot;
+  }
 
   std::size_t bucket_of(Time t) const {
     // width_ is kept a power of two so day extraction is a shift, not a
@@ -156,18 +158,18 @@ class CalendarQueue {
            (buckets_.size() - 1);
   }
 
-  /// Points at the earliest live entry (today_[today_pos_]), refilling
-  /// today_ with the next day's entries when the drain runs dry and
-  /// skipping over cancelled entries; nullptr when no live event exists.
+  /// Points at the earliest entry (today_[today_pos_]), refilling today_
+  /// with the next day's entries when the drain runs dry; nullptr when the
+  /// queue is empty.
   const Entry* peek_front();
 
   /// Extracts the next day into today_ (extract_next_day()), and when that
   /// day is packed and the head of the queue calibrates a narrower one,
-  /// rebuilds at the same bucket count and extracts again.  Precondition: at
-  /// least one live event exists and today_ is inactive.
+  /// rebuilds at the same bucket count and extracts again.  Precondition:
+  /// the queue is not empty and today_ is inactive.
   void refill_today();
 
-  /// Locates the earliest day holding a live event and moves its entries
+  /// Locates the earliest day holding an event and moves its entries
   /// out of the buckets into today_, sorted by (time, seq).  Same
   /// precondition as refill_today().
   void extract_next_day();
@@ -197,9 +199,8 @@ class CalendarQueue {
   void sort_today();
 
   /// Moves every in-day entry of `bucket` into today_ (swap-with-back
-  /// removal), reclaiming cancelled entries it passes over.  A bucket left
-  /// empty gives its storage to spares_, or frees it past
-  /// kKeptBucketCapacity.
+  /// removal).  A bucket left empty gives its storage to spares_, or frees it
+  /// past kKeptBucketCapacity.
   void extract_day(std::vector<Entry>& bucket, Time day_start, Time day_end);
 
   /// Sorted insert into the undrained region of today_ (see schedule()).
@@ -211,7 +212,7 @@ class CalendarQueue {
   void flush_today();
 
   void maybe_resize() {
-    const std::size_t live = slots_.live();
+    const std::size_t live = size();
     if (live > 2 * buckets_.size()) {
       rebuild(buckets_.size() * 2);
     } else if (buckets_.size() > 16 && live < buckets_.size() / 4) {
@@ -220,11 +221,10 @@ class CalendarQueue {
   }
 
   void rebuild(std::size_t new_bucket_count);
-  void drop_dead(std::vector<Entry>& bucket);
   /// Sets width_ to the power of two at or above `width` (and width_shift_).
   void set_width(Time width);
   /// The power-of-two width the head of the queue calibrates: 3x the median
-  /// non-zero gap among the earliest kHeadSample live entries, or width_
+  /// non-zero gap among the earliest kHeadSample entries, or width_
   /// when they share one timestamp.
   Time head_width();
 
@@ -240,23 +240,11 @@ class CalendarQueue {
   /// place a timer a few laps out once instead of moving it later.
   static constexpr std::uint64_t kCalendarLaps = 4;
 
-  /// Reclaims the cancelled entry at bucket[i] (swap-with-back removal).
-  /// Physical order within a bucket is irrelevant: min selection is by
-  /// (at, seq) and seq is unique, so reclamation order can never change
-  /// which event pops next.
-  void reclaim_at(std::vector<Entry>& bucket, std::size_t i) {
-    slots_.release(bucket[i].id);
-    bucket[i] = bucket.back();
-    bucket.pop_back();
-    --pending_dead_;
-  }
-
   std::vector<std::vector<Entry>> buckets_;
   Time width_;        ///< Day width; always a power of two.
   int width_shift_;   ///< log2(width_).
   Time last_popped_ = 0;
   std::uint64_t next_seq_ = 0;
-  std::size_t pending_dead_ = 0;  ///< Cancelled entries not yet reclaimed.
   /// Entries extracted into today_ since the last rebuild or packed-day
   /// check; a check runs only once the whole population could have been
   /// drained, so even a calibration over the whole population is amortized
@@ -287,7 +275,13 @@ class CalendarQueue {
   Time today_end_ = 0;
   bool today_active_ = false;
 
-  EventSlotPool slots_;
+  /// Callback storage, indexed by Entry::slot; free_ lists the slots whose
+  /// events have run.  In the steady state (the slot count no longer
+  /// growing) schedule and pop are allocation-free: a callback is placement-
+  /// constructed in UniqueFunction's inline buffer and moved once into its
+  /// slot and once out of it.
+  std::vector<Callback> cbs_;
+  std::vector<std::uint64_t> free_;
 };
 
 }  // namespace fastcc::sim

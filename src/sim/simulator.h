@@ -3,6 +3,8 @@
 // A Simulator owns the clock and the event queue.  Components hold a
 // reference to it and schedule callbacks; run() drains events in timestamp
 // order until the queue empties, a deadline passes, or stop() is called.
+// Every scheduled event runs: a timer that may be withdrawn or moved belongs
+// on its node's TimingWheel (sim/timing_wheel.h), which cancels in O(1).
 #pragma once
 
 #include <cassert>
@@ -14,10 +16,6 @@
 #include "sim/time.h"
 
 namespace fastcc::sim {
-
-/// Opaque handle identifying a scheduled event; usable for cancellation.
-/// Encodes a slot index plus a generation stamp — see EventSlotPool.
-using EventId = CalendarQueue::Id;
 
 class Simulator {
  public:
@@ -36,17 +34,13 @@ class Simulator {
   Time now() const { return now_; }
 
   /// Schedules `cb` at absolute time `at` (must be >= now()).
-  EventId at(Time when, Callback cb) {
+  void at(Time when, Callback cb) {
     assert(when >= now_ && "cannot schedule into the past");
-    return events_.schedule(when, std::move(cb));
+    events_.schedule(when, std::move(cb));
   }
 
   /// Schedules `cb` after a relative delay (must be >= 0).
-  EventId after(Time delay, Callback cb) {
-    return at(now_ + delay, std::move(cb));
-  }
-
-  bool cancel(EventId id) { return events_.cancel(id); }
+  void after(Time delay, Callback cb) { at(now_ + delay, std::move(cb)); }
 
   /// Runs until the event queue is empty or the clock passes `until`.
   /// Events stamped exactly `until` still run.  Returns the final clock.

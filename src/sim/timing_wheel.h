@@ -8,8 +8,10 @@
 // event-queue traffic and pollutes the calendar's width calibration with
 // far-future RTO outliers.  The wheel keeps these timers node-local: arm,
 // cancel, and rearm are O(1) list splices on generation-stamped slots, and
-// the simulator sees exactly one pending event per node, stamped with the
-// wheel's earliest deadline.
+// the simulator sees only a few wakeup events per node, the earliest at or
+// before the wheel's earliest deadline.  The wheels are the simulation's
+// only cancellable timers: the global event queue runs every event it is
+// given.
 //
 // Layout: kLevels levels of kSlots slots at 1 ns granularity.  A timer with
 // delay d (relative to the wheel clock at arm time) lands on level
@@ -37,7 +39,7 @@
 namespace fastcc::sim {
 
 /// Generation-stamped timer handle (generation << 32 | node index); stale
-/// handles are recognized in O(1), as in EventSlotPool.
+/// handles are recognized in O(1).
 using TimerId = std::uint64_t;
 
 /// Sentinel for "no timer pending" (deadlines are non-negative).
@@ -147,20 +149,21 @@ class TimingWheel {
 /// entries for it, and the earliest of them always covers (is at or before)
 /// the wheel's earliest deadline.
 ///
-/// The scheduler seldom cancels a simulator event.  A host's wheel
+/// The scheduler never cancels a simulator event.  A host's wheel
 /// typically holds one near chain (pacing, re-armed every few hundred ns)
 /// next to one far outlier (the RTO, ~1 ms out); a single-event scheduler
-/// would flip-flop between the two — cancel the far wakeup, schedule the
-/// near one, fire it, re-arm far, repeat — paying a calendar cancel plus an
-/// extra schedule per pacing interval.  Instead, up to kMaxOutstanding
-/// wakeups coexist: arming a deadline already covered by an earlier wakeup
-/// costs nothing, and a wakeup that arrives to find no due timer (its
-/// deadline was cancelled or serviced early) fires once, harmlessly, and
-/// re-covers whatever the wheel holds now.  Only when all kMaxOutstanding
-/// are pending and a new deadline precedes every one of them does
-/// ensure_covered cancel the latest wakeup to make room: 47 times in
-/// 2.70 M wakeups over the incast16, incast96, incast_probes, hadoop and
-/// websearch_storage rows of `experiments --seeds 1`.
+/// would flip-flop between the two — replace the far wakeup by the near
+/// one, fire it, re-arm far, repeat — paying an extra schedule, and a stale
+/// wakeup, per pacing interval.  Instead, up to kMaxOutstanding wakeups
+/// coexist: arming a deadline already covered by an earlier wakeup costs
+/// nothing, and a wakeup that arrives to find no due timer (its deadline
+/// was cancelled or serviced early) fires once, harmlessly, and re-covers
+/// whatever the wheel holds now.  Only when all kMaxOutstanding are pending
+/// and a new deadline precedes every one of them does ensure_covered forget
+/// the latest wakeup to make room.  The forgotten wakeup stays scheduled and returns at once
+/// when it fires, so each costs one executed event: 66 over the whole
+/// default table of bench/experiments, all in the HPCC rows of hadoop,
+/// websearch_storage and oversubscribed, against millions of events a row.
 class WheelScheduler {
  public:
   explicit WheelScheduler(Simulator& simulator) : sim_(&simulator) {}
@@ -207,34 +210,33 @@ class WheelScheduler {
   void ensure_covered(Time deadline) {
     if (covered(deadline)) return;
     if (n_outstanding_ == kMaxOutstanding) {
-      // Evict the latest wakeup: the uncovered `deadline` is the wheel's new
+      // Forget the latest wakeup: the uncovered `deadline` is the wheel's new
       // minimum (see above), so the wakeup scheduled below covers it and the
-      // evictee was redundant.
+      // forgotten one is redundant.  It still fires, as a no-op (on_expiry).
       int worst = 0;
       for (int i = 1; i < kMaxOutstanding; ++i) {
         if (outstanding_[i].at > outstanding_[worst].at) worst = i;
       }
-      sim_->cancel(outstanding_[worst].event);
       outstanding_[worst] = outstanding_[--n_outstanding_];
     }
-    outstanding_[n_outstanding_].at = deadline;
-    outstanding_[n_outstanding_].event =
-        sim_->at(deadline, [this] { on_expiry(); });
-    ++n_outstanding_;
+    const std::uint64_t token = next_token_++;
+    outstanding_[n_outstanding_++] = Outstanding{deadline, token};
+    sim_->at(deadline, [this, token] { on_expiry(token); });
   }
 
-  void on_expiry() {
-    const Time now = sim_->now();
-    for (int i = 0; i < n_outstanding_; ++i) {
-      if (outstanding_[i].at == now) {
-        outstanding_[i] = outstanding_[--n_outstanding_];
-        break;
-      }
-    }
+  void on_expiry(std::uint64_t token) {
+    int i = 0;
+    while (i < n_outstanding_ && outstanding_[i].token != token) ++i;
+    // A forgotten wakeup must not advance the wheel: a timer due now would
+    // then run ahead of the events queued between this wakeup and the one
+    // that covers the timer.  Matching the token, not the time, tells the
+    // two apart when they share a timestamp.
+    if (i == n_outstanding_) return;
+    outstanding_[i] = outstanding_[--n_outstanding_];
     // Timers armed from inside the expiry batch are covered by the single
     // re-cover below; suppress per-arm checks meanwhile.
     advancing_ = true;
-    wheel_.advance(now);
+    wheel_.advance(sim_->now());
     advancing_ = false;
     const Time next = wheel_.next_deadline();
     if (next != kNoTimer) ensure_covered(next);
@@ -242,13 +244,14 @@ class WheelScheduler {
 
   struct Outstanding {
     Time at = 0;
-    EventId event = 0;
+    std::uint64_t token = 0;  ///< Matches the wakeup closure scheduled for it.
   };
 
   Simulator* sim_;
   TimingWheel wheel_;
   Outstanding outstanding_[kMaxOutstanding];
   int n_outstanding_ = 0;
+  std::uint64_t next_token_ = 0;
   bool advancing_ = false;
 };
 

@@ -118,7 +118,9 @@ class UniqueFunction {
   }
 
   // Packet-capturing lambdas are trivially copyable, so the common case
-  // relocates by memcpy with no indirect call and destroys for free.
+  // relocates by memcpy with no indirect call and destroys for free.  An
+  // empty callable (a capture-less lambda) has no bytes to copy: its one
+  // byte of storage is never written.
   template <typename D>
   static constexpr Ops kInlineOps{
       &invoke_inline<D>,
@@ -126,7 +128,7 @@ class UniqueFunction {
           ? nullptr
           : &relocate_inline<D>,
       std::is_trivially_destructible_v<D> ? nullptr : &destroy_inline<D>,
-      sizeof(D)};
+      std::is_empty_v<D> ? 0 : sizeof(D)};
 
   /// Heap-stored callables keep only the owning D* inline; relocation copies
   /// the pointer, destruction deletes through it.

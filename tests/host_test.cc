@@ -127,8 +127,12 @@ TEST_F(HostHarness, ConcurrentFlowsShareTheNic) {
   EXPECT_TRUE(src->flow(1)->finished());
   EXPECT_TRUE(src->flow(2)->finished());
   EXPECT_EQ(src->active_flow_count(), 0u);
-  // Two flows through one 100 Gbps NIC: at least 200 KB of serialization.
-  EXPECT_GT(simulator.now(), 2 * 100 * 1048 * 8 / 1000 / 2);
+  // Each flow ends only after the NIC has serialized 200 KB of both flows'
+  // packets at 100 Gbps (16,768 ns), twice a solo flow's serialization.
+  const sim::Time both = sim::serialization_time(
+      2 * 100 * (kDefaultMtu + kHeaderBytes), src->port(0).bandwidth());
+  EXPECT_GE(src->flow(1)->finish_time, both);
+  EXPECT_GE(src->flow(2)->finish_time, both);
 }
 
 TEST_F(HostHarness, MidRunQueryShowsLiveProgress) {

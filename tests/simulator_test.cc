@@ -67,15 +67,6 @@ TEST(Simulator, CountsExecutedEvents) {
   EXPECT_EQ(s.events_executed(), 17u);
 }
 
-TEST(Simulator, CancelPreventsExecution) {
-  Simulator s;
-  bool ran = false;
-  const EventId id = s.at(10, [&] { ran = true; });
-  EXPECT_TRUE(s.cancel(id));
-  s.run();
-  EXPECT_FALSE(ran);
-}
-
 TEST(Simulator, SelfReschedulingEventChains) {
   Simulator s;
   int ticks = 0;

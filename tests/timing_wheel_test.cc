@@ -165,6 +165,31 @@ TEST(WheelScheduler, CancelledTimerNeverFiresEvenThoughWakeupRuns) {
   EXPECT_TRUE(sched.empty());
 }
 
+TEST(WheelScheduler, EvictedWakeupFiresAsANoOp) {
+  // Arming ever earlier deadlines fills the kMaxOutstanding = 4 wakeups at
+  // 5,000, 4,000, 3,000 and 2,000 ns; the fifth arm forgets the latest
+  // (5,000 ns) to cover 1,000 ns.  The forgotten wakeup still fires, ahead
+  // of P, which is queued later at the same instant, but must not advance
+  // the wheel: the 5,000 ns timer waits for the wakeup re-armed after the
+  // 4,000 ns expiry, which runs after P.
+  Simulator simulator;
+  WheelScheduler sched(simulator);
+  std::vector<Time> fired_at;
+  std::vector<int> at_5000;
+  for (const Time t : {5'000, 4'000, 3'000, 2'000, 1'000}) {
+    sched.arm(t, [&] {
+      fired_at.push_back(simulator.now());
+      if (simulator.now() == 5'000) at_5000.push_back(2);
+    });
+  }
+  simulator.at(5'000, [&] { at_5000.push_back(1); });
+  simulator.run();
+  EXPECT_EQ(fired_at, (std::vector<Time>{1'000, 2'000, 3'000, 4'000, 5'000}));
+  EXPECT_EQ(at_5000, (std::vector<int>{1, 2}));
+  // Five wakeups that serviced a timer, P and the forgotten wakeup.
+  EXPECT_EQ(simulator.events_executed(), 7u);
+}
+
 TEST(WheelScheduler, ManyTimersCostFewSimulatorEvents) {
   // 1000 timers on the wheel must not become 1000 global events: the
   // coverage set holds at most 4 outstanding wakeups, and each expiry
