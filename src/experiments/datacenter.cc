@@ -22,7 +22,7 @@ DatacenterResult run_datacenter(const DatacenterConfig& config) {
 
   // One simulator, and the network's own stream for CC randomness.
   const DatacenterSetup::FlowHome home{&simulator, &setup.network().rng()};
-  setup.schedule_flows([home](net::NodeId) { return home; });
+  setup.schedule_flows({&home, 1}, [](net::NodeId) { return std::size_t{0}; });
 
   simulator.run(config.max_sim_time);
 

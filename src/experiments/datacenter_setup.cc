@@ -1,6 +1,8 @@
 #include "experiments/datacenter_setup.h"
 
 #include <algorithm>
+#include <cassert>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
@@ -133,44 +135,86 @@ DatacenterSetup::DatacenterSetup(const DatacenterConfig& config,
   specs_ = workload::generate_poisson_traffic(traffic, traffic_rng);
 }
 
-const net::PathInfo& DatacenterSetup::path_of(net::NodeId src,
-                                              net::NodeId dst) {
-  // The fat-tree is symmetric, so repeated pairs are common and BFS is
-  // worth caching.
-  auto key = std::make_pair(src, dst);
-  auto it = path_cache_.find(key);
-  if (it == path_cache_.end()) {
-    it = path_cache_.emplace(key, network_.path(src, dst)).first;
+void FlowStartCursor::add(sim::Time at, std::size_t index) {
+  assert(starts_.size() < UINT32_MAX && index <= UINT32_MAX);
+  starts_.push_back({at, static_cast<std::uint32_t>(starts_.size()),
+                     static_cast<std::uint32_t>(index)});
+}
+
+void FlowStartCursor::arm() {
+  const auto by_time_rank = [](const Start& a, const Start& b) {
+    return a.at != b.at ? a.at < b.at : a.rank < b.rank;
+  };
+  // A Poisson draw arrives sorted already.
+  if (!std::is_sorted(starts_.begin(), starts_.end(), by_time_rank)) {
+    std::sort(starts_.begin(), starts_.end(), by_time_rank);
   }
-  return it->second;
+  first_seq_ = simulator_->reserve_seq(starts_.size());
+  if (!starts_.empty()) schedule_next();
+}
+
+void FlowStartCursor::schedule_next() {
+  const Start& s = starts_[next_];
+  auto fire_next = [this] { fire(); };
+  static_assert(sim::UniqueFunction::fits_inline<decltype(fire_next)>,
+                "a flow start must not allocate its closure");
+  simulator_->at_reserved(s.at, first_seq_ + s.rank, std::move(fire_next));
+}
+
+void FlowStartCursor::fire() {
+  const std::size_t index = starts_[next_].index;
+  ++next_;
+  if (next_ < starts_.size()) schedule_next();
+  start_(index);
 }
 
 void DatacenterSetup::schedule_flows(
-    const std::function<FlowHome(net::NodeId src)>& home_of) {
-  for (net::FlowSpec& spec : specs_) {
-    // Remap generator host indices to topology node ids.
-    net::Host* src = tree_.hosts[spec.src];
-    net::Host* dst = tree_.hosts[spec.dst];
-    spec.src = src->id();
-    spec.dst = dst->id();
-    const net::PathInfo& path = path_of(spec.src, spec.dst);
-    flow_paths_.emplace(spec.id, &path);
-    const FlowHome home = home_of(spec.src);
-    const CcFactory* factory = &factory_;
-    sim::Rng* rng = home.rng;
-    // The factory and cached path live in this object, which the caller
-    // keeps alive until its run has drained every flow-start event.
-    // lint:allow(ref-capture-callback -- the set-up object outlives the run)
-    home.simulator->at(spec.start_time, [factory, src, spec, &path, rng] {
-      net::FlowTx flow;
-      flow.spec = spec;
-      flow.line_rate = src->port(0).bandwidth();
-      flow.base_rtt = path.base_rtt;
-      flow.path_hops = path.hops;
-      flow.cc = factory->make(path, rng);
-      src->start_flow(std::move(flow));
+    std::span<const FlowHome> homes,
+    const std::function<std::size_t(net::NodeId src)>& home_of) {
+  assert(cursors_.empty() && "schedule_flows runs once");
+  for (const FlowHome& home : homes) {
+    cursors_.emplace_back(*home.simulator, [this, rng = home.rng](
+                                               std::size_t i) {
+      start_flow(i, rng);
     });
   }
+  paths_.reserve(specs_.size());
+  spec_of_id_.reserve(specs_.size());
+  for (std::size_t i = 0; i < specs_.size(); ++i) {
+    net::FlowSpec& spec = specs_[i];
+    // Remap generator host indices to topology node ids.
+    spec.src = tree_.hosts[spec.src]->id();
+    spec.dst = tree_.hosts[spec.dst]->id();
+    paths_.push_back(network_.path(spec.src, spec.dst));
+    spec_of_id_.emplace_back(spec.id, static_cast<std::uint32_t>(i));
+    cursors_.at(home_of(spec.src)).add(spec.start_time, i);
+  }
+  std::sort(spec_of_id_.begin(), spec_of_id_.end());
+  for (FlowStartCursor& cursor : cursors_) cursor.arm();
+}
+
+const net::PathInfo& DatacenterSetup::path_of_flow(net::FlowId id) const {
+  const auto it = std::lower_bound(
+      spec_of_id_.begin(), spec_of_id_.end(), id,
+      [](const std::pair<net::FlowId, std::uint32_t>& e, net::FlowId key) {
+        return e.first < key;
+      });
+  assert(it != spec_of_id_.end() && it->first == id && "unknown flow id");
+  return paths_[it->second];
+}
+
+void DatacenterSetup::start_flow(std::size_t i, sim::Rng* rng) {
+  const net::FlowSpec& spec = specs_[i];
+  const net::PathInfo& path = paths_[i];
+  // spec.src was remapped from a tree host, so the node is a Host.
+  auto* src = static_cast<net::Host*>(network_.node(spec.src));
+  net::FlowTx flow;
+  flow.spec = spec;
+  flow.line_rate = src->port(0).bandwidth();
+  flow.base_rtt = path.base_rtt;
+  flow.path_hops = path.hops;
+  flow.cc = factory_.make(path, rng);
+  src->start_flow(std::move(flow));
 }
 
 }  // namespace fastcc::exp

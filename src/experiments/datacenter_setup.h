@@ -3,16 +3,19 @@
 //
 // run_datacenter() and run_datacenter_sharded() build the same experiment:
 // the fat-tree, the variant's RED/PFC settings, the congestion-control
-// factory, the flow specs (preset or a Poisson draw), the path cache, and
-// one scheduled start event per flow.  DatacenterSetup does all of that in
-// one fixed order, so a given config yields the same network, the same flow
-// set and the same random-stream consumption in both runners.  The runners
-// differ only in where each flow's start event lands and which Rng its
-// controller draws from (FlowHome), and in how they run and collect.
+// factory, the flow specs (preset or a Poisson draw), one path per spec,
+// and one flow-start cursor per simulator (FlowStartCursor).
+// DatacenterSetup does all of that in one fixed order, so a given config
+// yields the same network, the same flow set and the same random-stream
+// consumption in both runners.  The runners differ only in which simulator
+// starts each flow and which Rng its controller draws from (FlowHome), and
+// in how they run and collect.
 #pragma once
 
+#include <cstdint>
+#include <deque>
 #include <functional>
-#include <map>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -37,6 +40,49 @@ void check_datacenter_config(const DatacenterConfig& config);
 /// first.
 void check_incast_config(const IncastConfig& config);
 
+/// Starts one simulator's flows with a single pending event: the event
+/// starts one flow and schedules the next, in (start time, rank) order,
+/// where a flow's rank is the number of add() calls before its own.  The
+/// start of rank r carries sequence number base + r from a block arm()
+/// reserves, the number an event scheduled at add() would have drawn, so
+/// the simulator pops every start exactly where it would pop had they all
+/// been queued up front.  Each event is an 8-byte closure (inline, no
+/// allocation) holding the cursor's address, so a cursor neither copies nor
+/// moves.
+class FlowStartCursor {
+ public:
+  /// `start(index)` starts the flow added under `index`, on the simulator's
+  /// thread.
+  FlowStartCursor(sim::Simulator& simulator,
+                  std::function<void(std::size_t index)> start)
+      : simulator_(&simulator), start_(std::move(start)) {}
+  FlowStartCursor(const FlowStartCursor&) = delete;
+  FlowStartCursor& operator=(const FlowStartCursor&) = delete;
+
+  /// Adds the flow `index`, starting at `at`.
+  void add(sim::Time at, std::size_t index);
+
+  /// Reserves one sequence number per added flow and schedules the first
+  /// start.  Call once, after the last add() and before the run.
+  void arm();
+
+ private:
+  struct Start {
+    sim::Time at;
+    std::uint32_t rank;
+    std::uint32_t index;
+  };
+
+  void schedule_next();
+  void fire();
+
+  sim::Simulator* simulator_;
+  std::function<void(std::size_t)> start_;
+  std::vector<Start> starts_;  ///< In (at, rank) order once armed.
+  std::size_t next_ = 0;
+  std::uint64_t first_seq_ = 0;
+};
+
 class DatacenterSetup {
  public:
   /// Builds the fat-tree on `simulator`, applies the variant's RED/PFC
@@ -54,35 +100,37 @@ class DatacenterSetup {
   const topo::FatTree& tree() const { return tree_; }
   std::size_t flow_count() const { return specs_.size(); }
 
-  /// Where a flow whose source host is `src` runs: the simulator that owns
-  /// the host and the Rng its controller draws from.
+  /// Where a flow runs: the simulator that owns its source host and the Rng
+  /// its controller draws from.
   struct FlowHome {
     sim::Simulator* simulator;
     sim::Rng* rng;
   };
 
-  /// Remaps every spec's host indices to node ids, resolves its path
-  /// (cached per host pair), and schedules its start on home_of(src).  The
-  /// scheduled events refer into this object, so it must outlive the run.
-  void schedule_flows(const std::function<FlowHome(net::NodeId src)>& home_of);
+  /// Remaps every spec's host indices to node ids, resolves its path, and
+  /// hands it to the start cursor of homes[home_of(src)].  Each home with
+  /// flows then holds exactly one pending event.  The events refer into
+  /// this object, so it must outlive the run.  Call once.
+  void schedule_flows(
+      std::span<const FlowHome> homes,
+      const std::function<std::size_t(net::NodeId src)>& home_of);
 
   /// The path flow `id` was scheduled on.  Read-only once schedule_flows()
   /// returns, so completion callbacks on any worker may call it.
-  const net::PathInfo& path_of_flow(net::FlowId id) const {
-    return *flow_paths_.at(id);
-  }
+  const net::PathInfo& path_of_flow(net::FlowId id) const;
 
  private:
-  const net::PathInfo& path_of(net::NodeId src, net::NodeId dst);
+  /// Starts specs_[i] on its source host, its controller drawing from `rng`.
+  void start_flow(std::size_t i, sim::Rng* rng);
 
   net::Network network_;
   topo::FatTree tree_;
   CcFactory factory_;
   std::vector<net::FlowSpec> specs_;
-  // Ordered maps: deterministic by construction, and node-based storage
-  // keeps the PathInfo references handed out stable across insertions.
-  std::map<std::pair<net::NodeId, net::NodeId>, net::PathInfo> path_cache_;
-  std::map<net::FlowId, const net::PathInfo*> flow_paths_;
+  std::vector<net::PathInfo> paths_;  ///< paths_[i] is specs_[i]'s path.
+  /// (flow id, spec index), sorted by id, for path_of_flow().
+  std::vector<std::pair<net::FlowId, std::uint32_t>> spec_of_id_;
+  std::deque<FlowStartCursor> cursors_;  ///< One per home.
 };
 
 }  // namespace fastcc::exp

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <functional>
-#include <map>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -92,72 +91,41 @@ IncastResult run_incast(const IncastConfig& config) {
     });
   }
 
-  // Paths are stored in a node-stable ordered map that outlives the
-  // schedule, so flow-start closures can capture `const PathInfo&` (8 bytes)
-  // instead of a by-value PathInfo and stay within the scheduler's inline
-  // buffer.
-  std::map<std::pair<net::NodeId, net::NodeId>, net::PathInfo> path_cache;
-  auto path_of = [&](net::NodeId src, net::NodeId dst) -> const net::PathInfo& {
-    auto key = std::make_pair(src, dst);
-    auto it = path_cache.find(key);
-    if (it == path_cache.end()) {
-      it = path_cache.emplace(key, network.path(src, dst)).first;
-    }
-    return it->second;
-  };
-
-  // Schedule probe flows from the dedicated prober host.
-  if (prober != nullptr) {
-    const net::PathInfo& probe_path = path_of(prober->id(), receiver->id());
-    for (int i = 0; i < config.probe_count; ++i) {
-      net::FlowSpec spec;
-      spec.id = first_probe_id + static_cast<net::FlowId>(i);
-      spec.src = prober->id();
-      spec.dst = receiver->id();
-      spec.size_bytes = config.probe_bytes;
-      spec.start_time = (i + 1) * config.probe_interval;
-      // config/factory/probe_path outlive the schedule: simulator.run()
-      // below drains every probe-start event before this scope exits.  The
-      // path is captured by reference so the closure stays within the
-      // scheduler's 64-byte inline buffer.
-      simulator.at(spec.start_time,
-                   // lint:allow(ref-capture-callback -- run() drains first)
-                   [&config, &factory, prober, spec, &probe_path] {
-                     net::FlowTx flow;
-                     flow.spec = spec;
-                     flow.line_rate = prober->port(0).bandwidth();
-                     flow.base_rtt = probe_path.base_rtt;
-                     flow.path_hops = probe_path.hops;
-                     if (config.custom_cc) {
-                       flow.cc = config.custom_cc(probe_path);
-                     } else {
-                       flow.cc = factory.make(probe_path);
-                     }
-                     prober->start_flow(std::move(flow));
-                   });
-    }
+  // One cursor starts every flow: the probes from the dedicated prober
+  // host, then the senders, ranked in that order (see FlowStartCursor).
+  std::vector<net::FlowSpec> starts;
+  starts.reserve(static_cast<std::size_t>(config.probe_count) + specs.size());
+  for (int i = 0; i < config.probe_count; ++i) {
+    net::FlowSpec spec;
+    spec.id = first_probe_id + static_cast<net::FlowId>(i);
+    spec.src = prober->id();
+    spec.dst = receiver->id();
+    spec.size_bytes = config.probe_bytes;
+    spec.start_time = (i + 1) * config.probe_interval;
+    starts.push_back(spec);
   }
-
-  // Schedule flow starts.
-  for (const net::FlowSpec& spec : specs) {
-    net::Host* src = star.hosts[spec.src - star.hosts.front()->id()];
-    assert(src->id() == spec.src);
-    const net::PathInfo& path = path_of(spec.src, spec.dst);
-    // lint:allow(ref-capture-callback -- run() drains before scope exit)
-    simulator.at(spec.start_time, [&config, &factory, src, spec, &path] {
-      net::FlowTx flow;
-      flow.spec = spec;
-      flow.line_rate = src->port(0).bandwidth();
-      flow.base_rtt = path.base_rtt;
-      flow.path_hops = path.hops;
-      if (config.custom_cc) {
-        flow.cc = config.custom_cc(path);
-      } else {
-        flow.cc = factory.make(path);
-      }
-      src->start_flow(std::move(flow));
-    });
+  starts.insert(starts.end(), specs.begin(), specs.end());
+  std::vector<net::PathInfo> paths;
+  paths.reserve(starts.size());
+  for (const net::FlowSpec& spec : starts) {
+    paths.push_back(network.path(spec.src, spec.dst));
   }
+  FlowStartCursor cursor(simulator, [&](std::size_t i) {
+    const net::FlowSpec& spec = starts[i];
+    const net::PathInfo& path = paths[i];
+    auto* src = static_cast<net::Host*>(network.node(spec.src));
+    net::FlowTx flow;
+    flow.spec = spec;
+    flow.line_rate = src->port(0).bandwidth();
+    flow.base_rtt = path.base_rtt;
+    flow.path_hops = path.hops;
+    flow.cc = config.custom_cc ? config.custom_cc(path) : factory.make(path);
+    src->start_flow(std::move(flow));
+  });
+  for (std::size_t i = 0; i < starts.size(); ++i) {
+    cursor.add(starts[i].start_time, i);
+  }
+  cursor.arm();
 
   // Bottleneck queue: the hub's egress port toward the receiver.
   net::Port* bottleneck = nullptr;
@@ -174,11 +142,20 @@ IncastResult run_incast(const IncastConfig& config) {
   result.queue_bytes =
       stats::TimeSeries(std::string(variant_name(config.variant)));
 
+  // A sampler re-arms through a pointer to itself, an 8-byte closure that
+  // stays inline.  Copying the std::function would allocate once per
+  // sample: its [&] captures overflow std::function's local buffer.
+  const auto rearm = [&simulator](sim::Time delay,
+                                  const std::function<void()>* sampler) {
+    simulator.after(delay, [sampler] { (*sampler)(); });
+  };
+
   std::vector<std::uint64_t> last_acked(specs.size(), 0);
+  std::vector<double> throughput;
   std::function<void()> sample_jain = [&] {
     const sim::Time now = simulator.now();
     const sim::Time window_start = now - config.jain_sample_interval;
-    std::vector<double> throughput;
+    throughput.clear();
     for (std::size_t i = 0; i < specs.size(); ++i) {
       const net::Host* src =
           star.hosts[specs[i].src - star.hosts.front()->id()];
@@ -196,20 +173,16 @@ IncastResult run_incast(const IncastConfig& config) {
     if (!throughput.empty()) {
       result.jain.add(now, core::jain_index(throughput));
     }
-    if (completed < total) {
-      simulator.after(config.jain_sample_interval, sample_jain);
-    }
+    if (completed < total) rearm(config.jain_sample_interval, &sample_jain);
   };
-  simulator.after(config.jain_sample_interval, sample_jain);
+  rearm(config.jain_sample_interval, &sample_jain);
 
   std::function<void()> sample_queue = [&] {
     result.queue_bytes.add(simulator.now(),
                            static_cast<double>(bottleneck->data_queue_bytes()));
-    if (completed < total) {
-      simulator.after(config.queue_sample_interval, sample_queue);
-    }
+    if (completed < total) rearm(config.queue_sample_interval, &sample_queue);
   };
-  simulator.after(config.queue_sample_interval, sample_queue);
+  rearm(config.queue_sample_interval, &sample_queue);
 
   net::UtilizationMonitor util(simulator, *bottleneck,
                                config.jain_sample_interval,

@@ -280,10 +280,16 @@ DatacenterResult run_datacenter_sharded(const DatacenterConfig& config,
   }
 
   // Path resolution all happens here on the calling thread; during the
-  // epoch loop the set-up's path tables are read-only.
-  setup.schedule_flows([&](net::NodeId src) {
-    const auto s = static_cast<std::size_t>(smap.of(src));
-    return DatacenterSetup::FlowHome{sims[s].get(), &shard_rngs[s]};
+  // epoch loop the set-up's path tables are read-only.  Each shard's
+  // start cursor runs on whichever worker advances the shard.
+  std::vector<DatacenterSetup::FlowHome> homes;
+  homes.reserve(static_cast<std::size_t>(shards));
+  for (int s = 0; s < shards; ++s) {
+    const auto si = static_cast<std::size_t>(s);
+    homes.push_back({sims[si].get(), &shard_rngs[si]});
+  }
+  setup.schedule_flows(homes, [&smap](net::NodeId src) {
+    return static_cast<std::size_t>(smap.of(src));
   });
 
   // ---- The epoch loop ----------------------------------------------------

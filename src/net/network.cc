@@ -1,5 +1,6 @@
 #include "net/network.h"
 
+#include <algorithm>
 #include <cassert>
 #include <deque>
 #include <limits>
@@ -82,35 +83,33 @@ PathInfo Network::path(NodeId src, NodeId dst, std::uint32_t mtu) const {
   assert(src < nodes_.size() && dst < nodes_.size());
   PathInfo info;
   if (src == dst) return info;
-  const std::vector<int> dist = hop_distances(dst);
-  assert(dist[src] != std::numeric_limits<int>::max() && "no path");
-  info.hops = dist[src];
+  assert(routes_built_ && "path() reads the route tables");
   info.bottleneck = std::numeric_limits<sim::Rate>::max();
 
-  // Walk one shortest path; the topologies here are bandwidth-symmetric
-  // across equal-cost paths, so any shortest path yields the same metrics.
-  NodeId cur = src;
-  while (cur != dst) {
+  // Walk one shortest path: a host leaves by its one port, a switch by its
+  // first ECMP candidate toward `dst`.  The topologies here are
+  // bandwidth-symmetric across equal-cost paths, so any shortest path yields
+  // the same metrics.
+  for (NodeId cur = src; cur != dst;) {
     const Node& n = *nodes_[cur];
-    const Port* next = nullptr;
-    for (int i = 0; i < n.port_count(); ++i) {
-      if (!n.port(i).connected()) continue;
-      if (dist[n.port(i).peer()->id()] == dist[cur] - 1) {
-        next = &n.port(i);
-        break;
-      }
+    int out = 0;
+    if (n.is_switch()) {
+      const auto ports = static_cast<const SwitchNode&>(n).routes(dst);
+      assert(!ports.empty() && "no route: path() needs a host destination");
+      out = ports[0];
+    } else {
+      assert(n.port_count() == 1 && "a host has one port");
     }
-    assert(next != nullptr);
-    info.one_way_delay += next->propagation_delay() +
-                          sim::serialization_time(mtu + kHeaderBytes,
-                                                  next->bandwidth());
-    info.base_rtt += 2 * next->propagation_delay() +
-                     sim::serialization_time(mtu + kHeaderBytes,
-                                             next->bandwidth()) +
-                     sim::serialization_time(kAckBytes, next->bandwidth());
-    info.bottleneck = std::min(info.bottleneck, next->bandwidth());
-    info.link_bandwidths.push_back(next->bandwidth());
-    cur = next->peer()->id();
+    const Port& next = n.port(out);
+    const sim::Rate bw = next.bandwidth();
+    const sim::Time data = sim::serialization_time(mtu + kHeaderBytes, bw);
+    info.one_way_delay += next.propagation_delay() + data;
+    info.base_rtt += 2 * next.propagation_delay() + data +
+                     sim::serialization_time(kAckBytes, bw);
+    info.bottleneck = std::min(info.bottleneck, bw);
+    info.link_bandwidths.push_back(bw);
+    ++info.hops;
+    cur = next.peer()->id();
   }
   return info;
 }

@@ -42,7 +42,8 @@ class Network {
   void build_routes();
 
   /// Computes unloaded path properties (shortest path, ECMP-independent for
-  /// the symmetric topologies used here).
+  /// the symmetric topologies used here) by walking the route tables, in
+  /// O(hops).  Needs build_routes() to have run and `dst` to be a host.
   PathInfo path(NodeId src, NodeId dst, std::uint32_t mtu = kDefaultMtu) const;
 
   Node* node(NodeId id) { return nodes_[id].get(); }

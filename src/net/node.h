@@ -38,6 +38,8 @@ class Node {
 
   NodeId id() const { return id_; }
   const std::string& name() const { return name_; }
+  /// True for a SwitchNode.
+  bool is_switch() const { return is_switch_; }
 
   /// Creates a new (unconnected) egress port and returns its index.
   int add_port();

@@ -198,13 +198,14 @@ void CalendarQueue::insert_today(const Entry& e) {
                  today_.begin() + static_cast<std::ptrdiff_t>(today_pos_));
     today_pos_ = 0;
   }
-  // Upper-bound by timestamp over the undrained region: the new entry holds
-  // the largest seq issued, so FIFO order among equal timestamps is exactly
-  // "after every existing equal entry".
+  // Upper-bound by (time, seq) over the undrained region.  A fresh seq is
+  // the largest issued, so it lands after every equal-time entry; a
+  // reserved one (schedule_reserved) may land ahead of some.
   const auto begin = today_.begin() + static_cast<std::ptrdiff_t>(today_pos_);
   const auto it = std::upper_bound(
-      begin, today_.end(), e.at,
-      [](Time at, const Entry& x) { return at < x.at; });
+      begin, today_.end(), e, [](const Entry& a, const Entry& x) {
+        return a.at != x.at ? a.at < x.at : a.seq < x.seq;
+      });
   const std::ptrdiff_t front_dist = it - begin;
   const std::ptrdiff_t back_dist = today_.end() - it;
   if (today_pos_ > 0 && front_dist < back_dist) {

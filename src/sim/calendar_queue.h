@@ -4,13 +4,15 @@
 // distance into the future (serialization times, propagation delays, pacing
 // gaps), which is exactly the access pattern calendar queues exploit: events
 // hash into "day" buckets by timestamp.  Events at equal timestamps pop in
-// insertion order; property tests pin the pop sequence to a sorted
-// reference.  The bucket count doubles/halves as the population grows/
-// shrinks.  The queue is append-only: every scheduled event runs.  Timers
-// that may be withdrawn (retransmission, pacing, rate recovery) live on the
-// nodes' TimingWheels, which cancel in O(1).  Callbacks sit in a slot vector
-// with a free list, so buckets hold only 24-byte {time, seq, slot} entries
-// and moving an entry never moves a callback.
+// insertion order, where an event scheduled under a reserved sequence number
+// counts as inserted when the number was reserved; property tests pin the
+// pop sequence to a sorted reference.  The bucket count doubles/halves as
+// the population grows/shrinks.  The queue is append-only: every scheduled
+// event runs.  Timers that may be withdrawn (retransmission, pacing, rate
+// recovery) live on the nodes' TimingWheels, which cancel in O(1).
+// Callbacks sit in a slot vector with a free list, so buckets hold only
+// 24-byte {time, seq, slot} entries and moving an entry never moves a
+// callback.
 //
 // Sizing follows the head of the queue, not the whole population.  Every
 // rebuild calibrates the day width from the earliest entries (Brown's
@@ -57,38 +59,25 @@ class CalendarQueue {
                          Time initial_width = 1 * kMicrosecond);
 
   void schedule(Time at, Callback cb) {
-    assert(at >= 0);
-    // Most events land many days out (propagation delays span dozens of
-    // calendar days), so the destination bucket's header is almost always
-    // cold.  Issue its fetch first: it overlaps the callback move into its
-    // slot below, and push_back's size/capacity load — the one dependent
-    // stall on this path — then hits warm.
-    __builtin_prefetch(&buckets_[bucket_of(at)]);
-    const Entry e{at, next_seq_++, store(std::move(cb))};
-    if (today_active_) {
-      if (at < today_end_ && at >= today_start_) {
-        // The event lands inside the day currently being drained: insert it
-        // in (time, seq) order after the drain cursor.  `seq` is the largest
-        // issued, so FIFO among equal timestamps means "after every equal
-        // entry" — upper_bound by time alone finds that spot.
-        insert_today(e);
-        maybe_resize();
-        return;
-      }
-      if (at < today_start_) {
-        // Scheduled behind the active day (bounded runs can advance the
-        // clock past the drained events; the next schedule may then precede
-        // the extracted day).  Rare: spill the remainder back to the buckets
-        // and fall through to a fresh scan on the next pop.
-        flush_today();
-      }
-    }
-    if (at < horizon_) {
-      push(buckets_[bucket_of(at)], e);
-    } else {
-      far_.push_back(e);
-    }
-    maybe_resize();
+    place(at, next_seq_++, std::move(cb));
+  }
+
+  /// Reserves `n` consecutive sequence numbers and returns the first.  An
+  /// event later scheduled under one of them (schedule_reserved) pops where
+  /// an event scheduled now would: after every equal-time event scheduled
+  /// before this call, before every one scheduled after it.
+  std::uint64_t reserve_seq(std::uint64_t n) {
+    const std::uint64_t first = next_seq_;
+    next_seq_ += n;
+    return first;
+  }
+
+  /// Schedules `cb` at `at` under `seq`, a number reserve_seq() returned
+  /// and no other event used.  Precondition: (at, seq) follows the (time,
+  /// seq) of every event already popped.
+  void schedule_reserved(Time at, std::uint64_t seq, Callback cb) {
+    assert(seq < next_seq_);
+    place(at, seq, std::move(cb));
   }
 
   bool empty() const { return size() == 0; }
@@ -131,12 +120,46 @@ class CalendarQueue {
  private:
   struct Entry {
     Time at;
-    std::uint64_t seq;   // monotonically increasing; breaks ties FIFO
+    std::uint64_t seq;   // issue order (or a reserved number); breaks ties
     // Index of the callback in cbs_.  A full word, so an Entry is three
     // words with no padding: a 4-byte slot plus padding measured ~20%
     // slower on BM_SimulatorSelfRescheduling (interleaved A/B).
     std::uint64_t slot;
   };
+
+  /// schedule()'s body, under a sequence number the caller chose.
+  void place(Time at, std::uint64_t seq, Callback&& cb) {
+    assert(at >= 0);
+    // Most events land many days out (propagation delays span dozens of
+    // calendar days), so the destination bucket's header is almost always
+    // cold.  Issue its fetch first: it overlaps the callback move into its
+    // slot below, and push_back's size/capacity load — the one dependent
+    // stall on this path — then hits warm.
+    __builtin_prefetch(&buckets_[bucket_of(at)]);
+    const Entry e{at, seq, store(std::move(cb))};
+    if (today_active_) {
+      if (at < today_end_ && at >= today_start_) {
+        // The event lands inside the day currently being drained: insert it
+        // in (time, seq) order after the drain cursor.
+        insert_today(e);
+        maybe_resize();
+        return;
+      }
+      if (at < today_start_) {
+        // Scheduled behind the active day (bounded runs can advance the
+        // clock past the drained events; the next schedule may then precede
+        // the extracted day).  Rare: spill the remainder back to the buckets
+        // and fall through to a fresh scan on the next pop.
+        flush_today();
+      }
+    }
+    if (at < horizon_) {
+      push(buckets_[bucket_of(at)], e);
+    } else {
+      far_.push_back(e);
+    }
+    maybe_resize();
+  }
 
   /// Moves `cb` into a free slot of cbs_ and returns its index.
   std::uint64_t store(Callback&& cb) {

@@ -42,6 +42,18 @@ class Simulator {
   /// Schedules `cb` after a relative delay (must be >= 0).
   void after(Time delay, Callback cb) { at(now_ + delay, std::move(cb)); }
 
+  /// Reserves `n` sequence numbers for at_reserved() and returns the first
+  /// (CalendarQueue::reserve_seq).
+  std::uint64_t reserve_seq(std::uint64_t n) { return events_.reserve_seq(n); }
+
+  /// Schedules `cb` at `when` under a reserved sequence number: among
+  /// equal-time events it runs where an event scheduled when `seq` was
+  /// reserved would have.  (when, seq) must follow the running event's.
+  void at_reserved(Time when, std::uint64_t seq, Callback cb) {
+    assert(when >= now_ && "cannot schedule into the past");
+    events_.schedule_reserved(when, seq, std::move(cb));
+  }
+
   /// Runs until the event queue is empty or the clock passes `until`.
   /// Events stamped exactly `until` still run.  Returns the final clock.
   Time run(Time until = std::numeric_limits<Time>::max());

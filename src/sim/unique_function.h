@@ -22,13 +22,13 @@ class UniqueFunction {
  public:
   /// Inline capacity.  With the zero-copy packet pipeline the hottest
   /// closures are handle-sized (node pointer + 4-byte PacketRef + port,
-  /// <= 24 bytes); 32 bytes also covers host timers and std::function
-  /// sampler copies, and keeps the whole wrapper at 48 bytes — every
-  /// schedule and pop physically moves this buffer, so the hot-path cost
-  /// scales with it (the old 384-byte buffer sized for a by-value Packet
-  /// spanned seven cache lines; 64 spanned two).  Rare oversized callables
-  /// (the experiments' flow-start closures, one per flow) take the heap
-  /// fallback.
+  /// <= 24 bytes); 32 bytes also covers host timers and the 8-byte
+  /// flow-start and sampler re-arm closures, and keeps the whole wrapper at
+  /// 48 bytes — every schedule and pop physically moves this buffer, so the
+  /// hot-path cost scales with it (the old 384-byte buffer sized for a
+  /// by-value Packet spanned seven cache lines; 64 spanned two).  No
+  /// closure src/ schedules takes the heap fallback; it remains for
+  /// oversized callables from other callers.
   static constexpr std::size_t kInlineSize = 32;
   static constexpr std::size_t kInlineAlign = alignof(std::max_align_t);
 

@@ -17,6 +17,11 @@ double component_arrival_rate(const PoissonTrafficParams& params,
 std::vector<net::FlowSpec> generate_poisson_traffic(
     const PoissonTrafficParams& params, sim::Rng& rng) {
   assert(params.host_count >= 2 && params.duration > 0);
+  const auto by_start_then_id = [](const net::FlowSpec& a,
+                                   const net::FlowSpec& b) {
+    if (a.start_time != b.start_time) return a.start_time < b.start_time;
+    return a.id < b.id;
+  };
   std::vector<net::FlowSpec> flows;
   net::FlowId next_id = params.first_flow_id;
 
@@ -24,6 +29,7 @@ std::vector<net::FlowSpec> generate_poisson_traffic(
     const double lambda = component_arrival_rate(params, comp);
     assert(lambda > 0.0);
     const double mean_gap_ns = 1.0 / lambda;
+    const auto run_start = static_cast<std::ptrdiff_t>(flows.size());
     double t = rng.exponential(mean_gap_ns);
     while (t < static_cast<double>(params.duration)) {
       net::FlowSpec spec;
@@ -39,13 +45,13 @@ std::vector<net::FlowSpec> generate_poisson_traffic(
       flows.push_back(spec);
       t += rng.exponential(mean_gap_ns);
     }
+    // Arrival times rise and ids ascend, so this component's run is sorted
+    // and a merge with the runs before it keeps the whole vector sorted.
+    assert(std::is_sorted(flows.begin() + run_start, flows.end(),
+                          by_start_then_id));
+    std::inplace_merge(flows.begin(), flows.begin() + run_start, flows.end(),
+                       by_start_then_id);
   }
-
-  std::sort(flows.begin(), flows.end(),
-            [](const net::FlowSpec& a, const net::FlowSpec& b) {
-              if (a.start_time != b.start_time) return a.start_time < b.start_time;
-              return a.id < b.id;
-            });
   return flows;
 }
 

@@ -32,9 +32,9 @@ struct PoissonTrafficParams {
 };
 
 /// Pre-generates the full arrival schedule (deterministic given `rng`).
-/// Returned specs are sorted by start time.  NOTE: spec.src / spec.dst hold
-/// *host indices* in [0, host_count); the experiment driver remaps them to
-/// topology node ids.
+/// Returned specs are sorted by (start time, id).  NOTE: spec.src /
+/// spec.dst hold *host indices* in [0, host_count); the experiment driver
+/// remaps them to topology node ids.
 std::vector<net::FlowSpec> generate_poisson_traffic(
     const PoissonTrafficParams& params, sim::Rng& rng);
 

@@ -26,6 +26,13 @@ class SortedReference {
     pending_.emplace(at, id);
     return id;
   }
+  /// Reserves `n` ids for schedule_reserved(); returns the first.
+  Id reserve(std::uint64_t n) {
+    const Id first = next_id_;
+    next_id_ += n;
+    return first;
+  }
+  void schedule_reserved(Time at, Id id) { pending_.emplace(at, id); }
   bool empty() const { return pending_.empty(); }
   std::size_t size() const { return pending_.size(); }
   /// Time of the earliest event.  Precondition: !empty().
@@ -133,6 +140,74 @@ TEST(CalendarQueue, RandomizedEquivalenceWithSortedReference) {
         schedule_both(cal, ref, at, &fired);
       } else {
         clock = pop_both(cal, ref, &fired);
+      }
+    }
+    EXPECT_EQ(cal.size(), ref.size());
+    while (!cal.empty()) pop_both(cal, ref, &fired);
+    EXPECT_TRUE(ref.empty());
+  }
+}
+
+TEST(CalendarQueue, ReservedNumbersKeepOrderInAndBehindTheActiveDay) {
+  CalendarQueue q;  // 1,024 ns days
+  std::vector<int> order;
+  const std::uint64_t first = q.reserve_seq(4);
+  q.schedule(10, [&order] { order.push_back(0); });
+  q.schedule(100, [&order] { order.push_back(3); });
+  q.schedule(5000, [&order] { order.push_back(6); });
+  EXPECT_EQ(q.pop_and_run(), 10);  // the day [0, 1024) is now active
+  // Into the active day, ahead of an equal-time entry issued later.
+  q.schedule_reserved(100, first + 1, [&order] { order.push_back(2); });
+  q.schedule_reserved(100, first, [&order] { order.push_back(1); });
+  for (int i = 0; i < 3; ++i) EXPECT_EQ(q.pop_and_run(), 100);
+  EXPECT_EQ(q.next_time(), 5000);  // extracts the day [4096, 5120)
+  // Behind that active day, then ahead of an equal-time entry inside it.
+  q.schedule_reserved(3000, first + 2, [&order] { order.push_back(4); });
+  q.schedule_reserved(5000, first + 3, [&order] { order.push_back(5); });
+  while (!q.empty()) q.pop_and_run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6}));
+}
+
+TEST(CalendarQueue, ReservedNumbersMatchSortedReference) {
+  // A flow-start cursor's pattern among ordinary traffic: blocks of
+  // sequence numbers reserved, then scheduled one at a time, later.  Times
+  // sit on a 100 ns grid, so most schedules tie with pending entries, and a
+  // reserved number must pop ahead of the equal-time entries issued after
+  // its block: often an insert into the active day ahead of entries
+  // already extracted.  Peeks extract the next day early, so a schedule
+  // then lands behind the active day.  A reserved schedule keeps (time,
+  // seq) after the last pop, as the cursor does.
+  Rng rng(4321);
+  for (int round = 0; round < 5; ++round) {
+    CalendarQueue cal(16, 50);
+    SortedReference ref;
+    SortedReference::Id fired = 0;
+    std::vector<SortedReference::Id> reserved;
+    Time clock = 0;
+    SortedReference::Id last_id = 0;
+    for (int i = 0; i < 3000; ++i) {
+      const int op = static_cast<int>(rng.uniform_int(0, 9));
+      if (op == 0) {
+        const auto n = static_cast<std::uint64_t>(rng.uniform_int(1, 8));
+        const std::uint64_t first = cal.reserve_seq(n);
+        ASSERT_EQ(first, ref.reserve(n));
+        for (std::uint64_t k = 0; k < n; ++k) reserved.push_back(first + k);
+      } else if (op <= 2 && !reserved.empty()) {
+        const auto k = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<int>(reserved.size()) - 1));
+        const SortedReference::Id id = reserved[k];
+        reserved.erase(reserved.begin() + static_cast<std::ptrdiff_t>(k));
+        Time at = clock + 100 * rng.uniform_int(0, 3);
+        if (at == clock && id < last_id) at += 100;
+        ref.schedule_reserved(at, id);
+        cal.schedule_reserved(at, id, [&fired, id] { fired = id; });
+      } else if (op <= 5 || cal.empty()) {
+        schedule_both(cal, ref, clock + 100 * rng.uniform_int(0, 20), &fired);
+      } else if (op == 6) {
+        EXPECT_EQ(cal.next_time(), ref.next_time());
+      } else {
+        clock = pop_both(cal, ref, &fired);
+        last_id = fired;
       }
     }
     EXPECT_EQ(cal.size(), ref.size());

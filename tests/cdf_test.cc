@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "sim/random.h"
 #include "workload/distributions.h"
 #include "workload/poisson.h"
@@ -125,6 +128,65 @@ TEST(PoissonTraffic, OfferedBytesMatchTheLoad) {
   const double capacity = params.host_bandwidth * params.host_count *
                           static_cast<double>(params.duration);
   EXPECT_NEAR(offered / capacity, params.load, 0.05 * params.load);
+}
+
+TEST(PoissonTraffic, MergedComponentsEqualSortedConcatenation) {
+  // Each component arrives as one run, in time and id order; the generator
+  // merges the runs.  The reference draws the same runs from the same
+  // stream, concatenates them and sorts the whole.
+  PoissonTrafficParams params;
+  params.components = {{&websearch_cdf(), 0.5},
+                       {&storage_cdf(), 0.3},
+                       {&hadoop_cdf(), 0.2}};
+  params.load = 0.5;
+  params.host_bandwidth = sim::gbps(100);
+  params.host_count = 16;
+  params.duration = 500 * sim::kMicrosecond;
+  params.first_flow_id = 7;
+
+  sim::Rng ref_rng(9);
+  std::vector<net::FlowSpec> want;
+  net::FlowId next_id = params.first_flow_id;
+  std::vector<std::size_t> run_sizes;
+  for (const TrafficComponent& comp : params.components) {
+    const double mean_gap_ns = 1.0 / component_arrival_rate(params, comp);
+    const std::size_t before = want.size();
+    for (double t = ref_rng.exponential(mean_gap_ns);
+         t < static_cast<double>(params.duration);
+         t += ref_rng.exponential(mean_gap_ns)) {
+      net::FlowSpec spec;
+      spec.id = next_id++;
+      spec.src = static_cast<net::NodeId>(
+          ref_rng.uniform_int(0, params.host_count - 1));
+      do {
+        spec.dst = static_cast<net::NodeId>(
+            ref_rng.uniform_int(0, params.host_count - 1));
+      } while (spec.dst == spec.src);
+      spec.size_bytes = comp.cdf->sample(ref_rng);
+      spec.start_time = static_cast<sim::Time>(t);
+      want.push_back(spec);
+    }
+    run_sizes.push_back(want.size() - before);
+  }
+  for (const std::size_t n : run_sizes) EXPECT_GT(n, 10u);
+  std::sort(want.begin(), want.end(),
+            [](const net::FlowSpec& a, const net::FlowSpec& b) {
+              if (a.start_time != b.start_time) {
+                return a.start_time < b.start_time;
+              }
+              return a.id < b.id;
+            });
+
+  sim::Rng rng(9);
+  const std::vector<net::FlowSpec> got = generate_poisson_traffic(params, rng);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].id, want[i].id) << "at " << i;
+    EXPECT_EQ(got[i].start_time, want[i].start_time) << "at " << i;
+    EXPECT_EQ(got[i].src, want[i].src) << "at " << i;
+    EXPECT_EQ(got[i].dst, want[i].dst) << "at " << i;
+    EXPECT_EQ(got[i].size_bytes, want[i].size_bytes) << "at " << i;
+  }
 }
 
 }  // namespace

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <limits>
+#include <vector>
+
 #include "sim/simulator.h"
+#include "topo/fat_tree.h"
 #include "topo/star.h"
 
 namespace fastcc::net {
@@ -87,6 +92,113 @@ TEST(Network, RedAppliesToSwitchPorts) {
   red.pmax = 1.0;
   network.set_red_all(red);
   SUCCEED();
+}
+
+/// The reference path(): BFS hop distances to `dst`, then a walk that
+/// leaves each node by its lowest-index connected port one hop closer.
+class BfsReference {
+ public:
+  BfsReference(const Network& network, NodeId dst)
+      : network_(network), dst_(dst),
+        dist_(network.node_count(), std::numeric_limits<int>::max()) {
+    std::deque<NodeId> frontier{dst};
+    dist_[dst] = 0;
+    while (!frontier.empty()) {
+      const Node& n = *network.node(frontier.front());
+      frontier.pop_front();
+      for (int i = 0; i < n.port_count(); ++i) {
+        if (!n.port(i).connected()) continue;
+        const NodeId peer = n.port(i).peer()->id();
+        if (dist_[peer] > dist_[n.id()] + 1) {
+          dist_[peer] = dist_[n.id()] + 1;
+          frontier.push_back(peer);
+        }
+      }
+    }
+  }
+
+  PathInfo path(NodeId src, std::uint32_t mtu = kDefaultMtu) const {
+    PathInfo info;
+    if (src == dst_) return info;
+    info.bottleneck = std::numeric_limits<sim::Rate>::max();
+    for (NodeId cur = src; cur != dst_;) {
+      const Node& n = *network_.node(cur);
+      int out = 0;
+      while (!n.port(out).connected() ||
+             dist_[n.port(out).peer()->id()] != dist_[cur] - 1) {
+        ++out;
+      }
+      const Port& p = n.port(out);
+      const sim::Time data = sim::serialization_time(mtu + kHeaderBytes,
+                                                     p.bandwidth());
+      info.one_way_delay += p.propagation_delay() + data;
+      info.base_rtt += 2 * p.propagation_delay() + data +
+                       sim::serialization_time(kAckBytes, p.bandwidth());
+      info.bottleneck = std::min(info.bottleneck, p.bandwidth());
+      info.link_bandwidths.push_back(p.bandwidth());
+      ++info.hops;
+      cur = p.peer()->id();
+    }
+    return info;
+  }
+
+ private:
+  const Network& network_;
+  NodeId dst_;
+  std::vector<int> dist_;
+};
+
+/// Checks path() against BfsReference for every ordered pair of `hosts`.
+void expect_paths_match_bfs(const Network& network,
+                            const std::vector<NodeId>& hosts) {
+  int mismatches = 0;
+  for (const NodeId dst : hosts) {
+    const BfsReference ref(network, dst);
+    for (const NodeId src : hosts) {
+      const PathInfo want = ref.path(src);
+      const PathInfo got = network.path(src, dst);
+      const bool same = got.hops == want.hops &&
+                        got.base_rtt == want.base_rtt &&
+                        got.bottleneck == want.bottleneck &&
+                        got.one_way_delay == want.one_way_delay &&
+                        got.link_bandwidths == want.link_bandwidths;
+      if (!same && ++mismatches <= 5) {
+        ADD_FAILURE() << "path " << src << " -> " << dst << ": hops "
+                      << got.hops << " vs " << want.hops << ", base_rtt "
+                      << got.base_rtt << " vs " << want.base_rtt;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+std::vector<NodeId> ids_of(const std::vector<Host*>& hosts) {
+  std::vector<NodeId> ids;
+  for (const Host* h : hosts) ids.push_back(h->id());
+  return ids;
+}
+
+TEST(Network, RouteWalkMatchesBfsOnEveryFatTreeHostPair) {
+  for (const topo::FatTreeParams& params :
+       {topo::scaled_fat_tree(), topo::sharded_scaled_fat_tree(),
+        topo::full_scale_fat_tree(),
+        topo::with_oversubscription(topo::scaled_fat_tree(), 4)}) {
+    sim::Simulator simulator;
+    Network network(simulator);
+    const topo::FatTree tree = build_fat_tree(network, params);
+    const std::vector<NodeId> hosts = ids_of(tree.hosts);
+    expect_paths_match_bfs(network, hosts);
+  }
+}
+
+TEST(Network, RouteWalkMatchesBfsOnEveryStarHostPair) {
+  sim::Simulator simulator;
+  Network network(simulator);
+  topo::StarParams params;
+  params.host_count = 9;
+  const topo::Star star = build_star(network, params);
+  const std::vector<NodeId> hosts = ids_of(star.hosts);
+  expect_paths_match_bfs(network, hosts);
 }
 
 }  // namespace
