@@ -1,36 +1,37 @@
 #!/usr/bin/env python3
-"""Compare a fresh benchmark run against the committed BENCH_core.json.
+"""Paired, interleaved A/B comparison of google-benchmark rows.
 
-Guards the perf trajectory in CI: a fresh run of the core microbenchmarks
-must not regress events/sec by more than the threshold on any benchmark
-that both files share.  Benchmarks present in only one file (renamed,
-added, retired) are reported but never fail the gate, so adding a new
-benchmark does not require regenerating the baseline in the same commit.
+Speed is only comparable between runs taken seconds apart on one host: a
+record written on another machine, or on this one at another time, reads
+the host as much as the code.  So every comparison here launches the
+binaries itself, one benchmark per process, and reports the median of
+per-round rate ratios.
 
 Usage:
-    bench/compare_bench.py BASELINE.json FRESH.json [--threshold 0.15]
     bench/compare_bench.py --interleave BINARY --bench-a NAME --bench-b NAME
-                           [--rounds 5] [--min-ratio 1.0]
+                           [--rounds 5] [--min-ratio R]
+    bench/compare_bench.py --interleave BINARY --base BASE_BINARY
+                           [--filter REGEX] [--rounds 5] [--min-ratio R]
 
-File-comparison mode: both files use the schema emitted by
-bench/run_core_bench.sh:
-    {"benchmarks": [{"name": ..., "events_per_second": ...}, ...]}
-FRESH.json may also be raw google-benchmark JSON ({"benchmarks":
-[{"name": ..., "items_per_second": ...}]}); both spellings are accepted.
+Two rows of one binary (--bench-a/--bench-b): launch BINARY 2 x rounds
+times, alternating strictly A, B, A, B, ..., and report the per-round rate
+ratio B/A plus its median.
 
-Interleaved A/B mode: instead of comparing two recorded files, launch the
-given google-benchmark BINARY 2 x rounds times, alternating strictly
-A, B, A, B, ... (one benchmark per process via --benchmark_filter), and
-report the per-round rate ratio B/A plus its median.  Pairing adjacent
-runs cancels the slow drifts (thermal throttling, frequency scaling,
-noisy CI neighbors) that make two widely separated measurements
-incomparable — each ratio compares runs seconds apart, and the median
-discards outlier rounds entirely.  --min-ratio gates the median (exit 1
-below it); without the flag the mode is purely informational.
+One binary against another (--base): every row that REGEX selects in both
+binaries runs once per round in each, the two processes back to back, with
+the first side alternating from round to round (base first in odd rounds)
+so neither side always runs on a warmer or cooler host.  The ratio is
+BINARY/BASE.  A row only one binary has is reported, never gated, so adding
+or retiring a benchmark does not fail the comparison.
 
-Exit status: 0 on pass, 1 on regression beyond threshold (or median ratio
-below --min-ratio), 2 on bad input.  Stdlib only — no third-party
-dependencies.
+Pairing adjacent runs cancels the slow drifts (thermal throttling,
+frequency scaling, noisy neighbours) that make two widely separated
+measurements incomparable, and the median discards outlier rounds.
+--min-ratio gates each median (exit 1 below it); without the flag the mode
+is purely informational.
+
+Exit status: 0 on pass, 1 on a median ratio below --min-ratio, 2 on bad
+input.  Stdlib only -- no third-party dependencies.
 """
 
 import argparse
@@ -41,26 +42,25 @@ import subprocess
 import sys
 
 
-def load_rates(path):
-    """Returns {benchmark name: events/sec}."""
+def run_benchmark(binary, args):
+    """Runs `binary` with `args`; exits 2 when it cannot run or fails."""
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        print(f"error: cannot read {path}: {e}", file=sys.stderr)
+        proc = subprocess.run([binary, *args], capture_output=True, text=True)
+    except OSError as e:
+        print(f"error: cannot run {binary}: {e}", file=sys.stderr)
         sys.exit(2)
-    rates = {}
-    for b in doc.get("benchmarks", []):
-        rate = b.get("events_per_second", b.get("items_per_second"))
-        name = b.get("name")
-        # Skip aggregate rows (mean/median/stddev) and rate-less benchmarks.
-        if name is None or rate is None or b.get("run_type") == "aggregate":
-            continue
-        rates[name] = float(rate)
-    if not rates:
-        print(f"error: no benchmarks with rates in {path}", file=sys.stderr)
+    if proc.returncode != 0:
+        print(f"error: {binary} {' '.join(args)} exited {proc.returncode}:\n"
+              f"{proc.stderr}", file=sys.stderr)
         sys.exit(2)
-    return rates
+    return proc.stdout
+
+
+def list_rows(binary, pattern):
+    """Names of the rows of `binary` that the filter `pattern` selects."""
+    out = run_benchmark(binary, ["--benchmark_list_tests",
+                                 f"--benchmark_filter={pattern}"])
+    return [line.strip() for line in out.splitlines() if line.strip()]
 
 
 def measure_once(binary, name):
@@ -71,19 +71,10 @@ def measure_once(binary, name):
     would still measure A entirely before B.  A fresh process per sample
     also resets allocator and cache state, so A and B start equal.
     """
-    cmd = [binary, f"--benchmark_filter=^{re.escape(name)}$",
-           "--benchmark_format=json"]
+    out = run_benchmark(binary, [f"--benchmark_filter=^{re.escape(name)}$",
+                                 "--benchmark_format=json"])
     try:
-        proc = subprocess.run(cmd, capture_output=True, text=True)
-    except OSError as e:
-        print(f"error: cannot run {binary}: {e}", file=sys.stderr)
-        sys.exit(2)
-    if proc.returncode != 0:
-        print(f"error: {binary} exited {proc.returncode} for {name}:\n"
-              f"{proc.stderr}", file=sys.stderr)
-        sys.exit(2)
-    try:
-        doc = json.loads(proc.stdout)
+        doc = json.loads(out)
     except json.JSONDecodeError as e:
         print(f"error: {binary} emitted malformed JSON for {name}: {e}",
               file=sys.stderr)
@@ -99,103 +90,125 @@ def measure_once(binary, name):
         print(f"error: filter for {name!r} matched {len(rows)} benchmarks "
               f"in {binary} (need exactly 1)", file=sys.stderr)
         sys.exit(2)
-    return float(rows[0].get("events_per_second",
+    rate = float(rows[0].get("events_per_second",
                              rows[0].get("items_per_second")))
+    if rate <= 0.0:
+        print(f"error: nonpositive rate {rate} for {name} in {binary}",
+              file=sys.stderr)
+        sys.exit(2)
+    return rate
 
 
-def run_interleaved(args):
-    """Strict A, B, A, B process alternation; gates on the median ratio."""
+def gate(label, ratios, min_ratio):
+    """Prints one row's verdict; returns True when it fails the gate."""
+    med = statistics.median(ratios)
+    spread = f"{min(ratios):.3f}-{max(ratios):.3f}"
+    failed = min_ratio is not None and med < min_ratio
+    verdict = "FAIL" if failed else ("ok" if min_ratio is not None else "")
+    print(f"{verdict:>6}  {label}: median {med:.3f} "
+          f"(range {spread}, {len(ratios)} round(s))")
+    return failed
+
+
+def run_rows(args):
+    """Strict A, B, A, B process alternation of two rows of one binary."""
     ratios = []
     for r in range(args.rounds):
         rate_a = measure_once(args.interleave, args.bench_a)
         rate_b = measure_once(args.interleave, args.bench_b)
-        if rate_a <= 0.0:
-            print(f"error: nonpositive rate {rate_a} for {args.bench_a}",
-                  file=sys.stderr)
-            return 2
         ratios.append(rate_b / rate_a)
         print(f"{'round':>10}  {r + 1}/{args.rounds}: "
               f"{args.bench_a} {rate_a:,.0f} ev/s, "
               f"{args.bench_b} {rate_b:,.0f} ev/s "
               f"(ratio {ratios[-1]:.3f})")
-
-    med = statistics.median(ratios)
-    print(f"\nmedian {args.bench_b} / {args.bench_a} rate ratio over "
-          f"{args.rounds} paired round(s): {med:.3f}")
-    if args.min_ratio is not None and med < args.min_ratio:
-        print(f"FAIL: median ratio {med:.3f} below required "
-              f"{args.min_ratio:.3f}", file=sys.stderr)
+    print()
+    if gate(f"{args.bench_b} / {args.bench_a}", ratios, args.min_ratio):
+        print(f"FAIL: median ratio below {args.min_ratio:.3f}",
+              file=sys.stderr)
         return 1
     if args.min_ratio is not None:
-        print(f"PASS: median ratio {med:.3f} >= {args.min_ratio:.3f}")
+        print(f"PASS: median ratio at or above {args.min_ratio:.3f}")
+    return 0
+
+
+def run_binaries(args):
+    """Every shared row, BINARY against BASE, first side alternating."""
+    head_rows = list_rows(args.interleave, args.filter)
+    base_rows = list_rows(args.base, args.filter)
+    shared = [n for n in head_rows if n in base_rows]
+    for name in head_rows:
+        if name not in base_rows:
+            print(f"{'new':>6}  {name}: in {args.interleave} only "
+                  "(not compared)")
+    for name in base_rows:
+        if name not in head_rows:
+            print(f"{'gone':>6}  {name}: in {args.base} only "
+                  "(not compared)")
+    if not shared:
+        print("error: the binaries share no row the filter selects",
+              file=sys.stderr)
+        return 2
+
+    ratios = {name: [] for name in shared}
+    for r in range(args.rounds):
+        base_first = r % 2 == 0
+        for name in shared:
+            if base_first:
+                base = measure_once(args.base, name)
+                head = measure_once(args.interleave, name)
+            else:
+                head = measure_once(args.interleave, name)
+                base = measure_once(args.base, name)
+            ratios[name].append(head / base)
+        print(f"{'round':>10}  {r + 1}/{args.rounds} "
+              f"({'base' if base_first else 'head'} first): " +
+              ", ".join(f"{n} {ratios[n][-1]:.3f}" for n in shared),
+              flush=True)
+
+    print(f"\nrate ratio {args.interleave} / {args.base}, per row:")
+    failures = [n for n in shared if gate(n, ratios[n], args.min_ratio)]
+    if failures:
+        print(f"\nFAIL: {len(failures)} row(s) below median ratio "
+              f"{args.min_ratio:.3f}: {', '.join(failures)}",
+              file=sys.stderr)
+        return 1
+    if args.min_ratio is not None:
+        print(f"\nPASS: {len(shared)} row(s) at or above median ratio "
+              f"{args.min_ratio:.3f}")
     return 0
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("baseline", nargs="?",
-                        help="committed BENCH_core.json")
-    parser.add_argument("fresh", nargs="?",
-                        help="fresh run (run_core_bench.sh output "
-                        "or raw google-benchmark JSON)")
-    parser.add_argument("--threshold", type=float, default=0.15,
-                        help="max allowed fractional events/sec drop "
-                        "(default: 0.15)")
-    parser.add_argument("--interleave", metavar="BINARY",
-                        help="google-benchmark binary to launch in "
-                        "alternating A/B rounds instead of comparing files")
-    parser.add_argument("--bench-a", help="denominator benchmark name "
-                        "(interleave mode)")
-    parser.add_argument("--bench-b", help="numerator benchmark name "
-                        "(interleave mode)")
+    parser.add_argument("--interleave", metavar="BINARY", required=True,
+                        help="google-benchmark binary to launch (the "
+                        "numerator)")
+    parser.add_argument("--bench-a", help="denominator row of BINARY")
+    parser.add_argument("--bench-b", help="numerator row of BINARY")
+    parser.add_argument("--base", metavar="BASE_BINARY",
+                        help="binary to compare BINARY against, row by row "
+                        "(the denominator)")
+    parser.add_argument("--filter", default=".",
+                        help="google-benchmark filter selecting the rows "
+                        "compared with --base (default: every row)")
     parser.add_argument("--rounds", type=int, default=5,
-                        help="paired A/B rounds in interleave mode "
-                        "(default: 5)")
+                        help="paired rounds (default: 5)")
     parser.add_argument("--min-ratio", type=float, default=None,
-                        help="fail (exit 1) when the median B/A ratio in "
-                        "interleave mode falls below this")
+                        help="fail (exit 1) when a median ratio falls "
+                        "below this")
     args = parser.parse_args()
 
-    if args.interleave:
-        if not args.bench_a or not args.bench_b:
-            parser.error("--interleave requires --bench-a and --bench-b")
-        if args.rounds < 1:
-            parser.error("--rounds must be >= 1")
-        return run_interleaved(args)
-    if not args.baseline or not args.fresh:
-        parser.error("baseline and fresh files are required "
-                     "(or use --interleave)")
-
-    base = load_rates(args.baseline)
-    fresh = load_rates(args.fresh)
-    shared = sorted(base.keys() & fresh.keys())
-    if not shared:
-        print("error: baseline and fresh run share no benchmark names",
-              file=sys.stderr)
-        return 2
-
-    failures = []
-    for name in shared:
-        ratio = fresh[name] / base[name]
-        verdict = "ok"
-        if ratio < 1.0 - args.threshold:
-            verdict = "REGRESSION"
-            failures.append(name)
-        print(f"{verdict:>10}  {name}: {base[name]:,.0f} -> "
-              f"{fresh[name]:,.0f} events/s ({ratio - 1.0:+.1%} vs baseline)")
-
-    for name in sorted(base.keys() - fresh.keys()):
-        print(f"{'missing':>10}  {name}: in baseline only (not compared)")
-    for name in sorted(fresh.keys() - base.keys()):
-        print(f"{'new':>10}  {name}: in fresh run only (not compared)")
-
-    if failures:
-        print(f"\nFAIL: {len(failures)} benchmark(s) regressed more than "
-              f"{args.threshold:.0%}: {', '.join(failures)}", file=sys.stderr)
-        return 1
-    print(f"\nPASS: {len(shared)} shared benchmark(s) within "
-          f"{args.threshold:.0%} of baseline")
-    return 0
+    if args.rounds < 1:
+        parser.error("--rounds must be >= 1")
+    if args.base:
+        if args.bench_a or args.bench_b:
+            parser.error("--base compares whole binaries; drop "
+                         "--bench-a/--bench-b")
+        return run_binaries(args)
+    if not args.bench_a or not args.bench_b:
+        parser.error("--interleave requires --bench-a and --bench-b, "
+                     "or --base")
+    return run_rows(args)
 
 
 if __name__ == "__main__":

@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <functional>
+#include <vector>
 
 #include "core/fairness.h"
 #include "core/fluid_model.h"
@@ -261,9 +262,8 @@ BENCHMARK(BM_FatTreeFullScale)
 /// Rack-grain variant of the same run: 16 shards over the same 8-pod tree,
 /// so the Arg(16) row exercises worker counts past the pod count and the
 /// adaptive-horizon planner at twice the boundary surface.  A separate
-/// benchmark (not more Args on BM_FatTreeFullScale) so the committed
-/// BENCH_core.json baseline keeps gating the pod rows unchanged; new names
-/// are reported but never gated by compare_bench.py.
+/// benchmark (not more Args on BM_FatTreeFullScale), so the pod rows keep
+/// their names and CI's paired gate keeps comparing them across revisions.
 void BM_FatTreeFullScaleTor(benchmark::State& state) {
   const int workers = static_cast<int>(state.range(0));
   std::uint64_t events = 0;
@@ -320,6 +320,53 @@ void BM_TimingWheel(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(fired));
 }
 BENCHMARK(BM_TimingWheel)->Unit(benchmark::kMicrosecond);
+
+/// A node's timers at datacenter counts: `flows` pacing chains, each
+/// re-arming itself one gap ahead (80 ns per flow sharing the link, plus a
+/// per-flow jitter so the chains interleave), and one 1 ms RTO per flow,
+/// cancelled and re-armed on every 16th fire of its chain, as ACK arrivals
+/// would.  perfbench's datacenter draws put 18-32 timers on the busiest
+/// host; /128 is an incast receiver's fan-in.  Items = timer fires.
+struct WheelFlowsLoad {
+  sim::TimingWheel wheel;
+  std::vector<sim::Time> gaps;
+  std::vector<sim::TimerId> rtos;
+  std::vector<int> since_rearm;
+  std::uint64_t fires = 0;
+
+  void pace(std::size_t flow) {
+    ++fires;
+    const sim::Time now = wheel.now();
+    wheel.arm(now + gaps[flow], [this, flow] { pace(flow); });
+    if (++since_rearm[flow] == 16) {
+      since_rearm[flow] = 0;
+      wheel.cancel(rtos[flow]);
+      rtos[flow] = wheel.arm(now + 1 * sim::kMillisecond, [] {});
+    }
+  }
+};
+
+void BM_TimingWheelFlows(benchmark::State& state) {
+  const auto flows = static_cast<std::size_t>(state.range(0));
+  constexpr std::uint64_t kFires = 1 << 16;
+  std::uint64_t fired = 0;
+  for (auto _ : state) {
+    WheelFlowsLoad load;
+    load.gaps.resize(flows);
+    load.rtos.resize(flows);
+    load.since_rearm.assign(flows, 0);
+    for (std::size_t f = 0; f < flows; ++f) {
+      load.gaps[f] = static_cast<sim::Time>(80 * flows + (f * 37) % 64);
+      load.wheel.arm(load.gaps[f], [&load, f] { load.pace(f); });
+      load.rtos[f] = load.wheel.arm(1 * sim::kMillisecond, [] {});
+    }
+    while (load.fires < kFires) load.wheel.advance(load.wheel.next_deadline());
+    fired += load.fires;
+    benchmark::DoNotOptimize(load.wheel.now());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(fired));
+}
+BENCHMARK(BM_TimingWheelFlows)->Arg(16)->Arg(128)->Unit(benchmark::kMicrosecond);
 
 /// Large-fan-in stress: 256 senders through one bottleneck.  256 concurrent
 /// flows put ~256 pacing timers plus RTOs on one receiver-side ACK path and

@@ -1,20 +1,20 @@
 #!/usr/bin/env bash
-# Runs the core microbenchmarks and emits BENCH_core.json: git revision plus
-# events/sec and ns/event per benchmark, so successive PRs accumulate a perf
-# trajectory.  Usage:
+# Runs the core microbenchmarks and emits a record: git revision plus
+# events/sec and ns/event per benchmark.  Usage:
 #
 #   bench/run_core_bench.sh [build_dir] [out.json]
 #
-# Defaults: build_dir=build, out=BENCH_core.json (repo root).  Requires jq.
+# Defaults: build_dir=build, out=BENCH_core.json (repo root, not tracked).
+# Requires jq.
 #
 # Each benchmark runs 3 repetitions and the record keeps the best rep
 # (highest events/sec).  items_per_second is wall-clock-based, and on the
 # shared/virtualized hosts this runs on, wall time absorbs hypervisor steal
 # the guest cannot see — a single shot measures the neighbours as much as
-# the code.  Best-of-N is the standard noise-robust throughput estimator;
-# it applies identically to the committed record and to CI's fresh side of
-# compare_bench.py, so comparisons stay symmetric.  (For optimization work,
-# prefer interleaved A/B runs within one session over record deltas.)
+# the code.  A record describes one host at one time, so it is no baseline
+# for another run: to compare two builds, run both on one host, interleaved
+# (bench/compare_bench.py --interleave BINARY --base BASE_BINARY), as CI's
+# speed gate does over this script's FILTER.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -29,7 +29,7 @@ fi
 command -v jq >/dev/null || { echo "error: jq is required" >&2; exit 1; }
 
 # The benchmarks recorded; CI lists the same filter's rows to check the
-# record is complete.
+# record is complete, and gates the same rows against the comparison base.
 FILTER='RollingHorizon|Bimodal|ScheduleAndRun|SelfRescheduling|IncastEndToEnd|FatTreeEndToEnd|FatTreeFullScale|TimingWheel|Incast256|AckBatchDrain'
 
 GIT_REV=$(git rev-parse HEAD 2>/dev/null || echo unknown)

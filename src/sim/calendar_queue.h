@@ -9,7 +9,7 @@
 // pop sequence to a sorted reference.  The bucket count doubles/halves as
 // the population grows/shrinks.  The queue is append-only: every scheduled
 // event runs.  Timers that may be withdrawn (retransmission, pacing, rate
-// recovery) live on the nodes' TimingWheels, which cancel in O(1).
+// recovery) live on the nodes' TimingWheels, which cancel in O(log n).
 // Callbacks sit in a slot vector with a free list, so buckets hold only
 // 24-byte {time, seq, slot} entries and moving an entry never moves a
 // callback.

@@ -4,7 +4,7 @@
 // reference to it and schedule callbacks; run() drains events in timestamp
 // order until the queue empties, a deadline passes, or stop() is called.
 // Every scheduled event runs: a timer that may be withdrawn or moved belongs
-// on its node's TimingWheel (sim/timing_wheel.h), which cancels in O(1).
+// on its node's TimingWheel (sim/timing_wheel.h), which cancels in O(log n).
 #pragma once
 
 #include <cassert>

@@ -1,33 +1,30 @@
-// TimingWheel: a hierarchical timer wheel (Varghese & Lauck, SOSP 1987)
-// owned per network node, plus the WheelScheduler adapter that surfaces the
-// whole wheel to the Simulator as a single next-expiry event.
+// TimingWheel: the timers of one network node, in an indexed binary
+// min-heap ordered by (deadline, arm sequence), plus the WheelScheduler
+// adapter that surfaces the whole store to the Simulator as a single
+// next-expiry event.
 //
 // Hosts arm many short-lived timers — a pacing wakeup per transmit gap, a
 // retransmission timeout per flow, congestion-control recovery timers — and
 // the naive encoding (one calendar-queue entry each) both multiplies global
 // event-queue traffic and pollutes the calendar's width calibration with
-// far-future RTO outliers.  The wheel keeps these timers node-local: arm,
-// cancel, and rearm are O(1) list splices on generation-stamped slots, and
-// the simulator sees only a few wakeup events per node, the earliest at or
-// before the wheel's earliest deadline.  The wheels are the simulation's
-// only cancellable timers: the global event queue runs every event it is
-// given.
+// far-future RTO outliers.  The store keeps these timers node-local, and the
+// simulator sees only a few wakeup events per node, the earliest at or
+// before the earliest deadline.  These are the simulation's only
+// cancellable timers: the global event queue runs every event it is given.
 //
-// Layout: kLevels levels of kSlots slots at 1 ns granularity.  A timer with
-// delay d (relative to the wheel clock at arm time) lands on level
-// floor(log256(d)), in the slot indexed by that level's byte of its absolute
-// deadline; delays of 2^32 ns (~4.3 s) or more go to an overflow list.
-// Deadlines are stored exactly, so expiry never rounds to slot granularity.
-// Instead of advancing a cursor tick-by-tick (meaningless at nanosecond
-// resolution) or physically cascading batches downward, expiry walks at most
-// two slot lists per level — the cursor slot plus the first occupied slot
-// after it, located by a 256-bit occupancy bitmap — which is exact because
-// non-cursor slots each hold a single deadline block and blocks grow with
-// slot distance (see scan_best).  Firing order is deterministic: strictly by
-// (deadline, arm sequence) — FIFO among ties, matching the global queues.
+// A node holds few timers (two per incast sender, a few dozen on the
+// busiest datacenter host), so they live in a binary heap of node indices,
+// a few small vectors per node: arm and cancel cost O(log n) in the node's
+// own timer count, and the earliest deadline is the root.  Each
+// pending node records its heap position, so a cancel removes it in place;
+// TimerIds are generation-stamped, so a stale id is refused in O(1).
+// Deadlines are exact, and firing order is strictly (deadline, arm
+// sequence) — FIFO among ties, matching the global queues.  The class keeps
+// the name of the hierarchical timing wheel (Varghese & Lauck, SOSP 1987)
+// it replaced, because the benchmark harness constructs it by name; a
+// rename waits for the next revision of that harness.
 #pragma once
 
-#include <array>
 #include <cassert>
 #include <cstdint>
 #include <vector>
@@ -49,50 +46,42 @@ class TimingWheel {
  public:
   using Callback = UniqueFunction;
 
-  static constexpr int kLevels = 4;
-  static constexpr int kSlotBits = 8;
-  static constexpr std::size_t kSlots = std::size_t{1} << kSlotBits;
-
-  TimingWheel() {
-    for (auto& level : heads_) level.fill(kNil);
-    for (auto& level : tails_) level.fill(kNil);
-  }
+  TimingWheel() = default;
   TimingWheel(const TimingWheel&) = delete;
   TimingWheel& operator=(const TimingWheel&) = delete;
 
-  /// Arms a timer at absolute time `deadline` (>= now()).  O(1).
+  /// Arms a timer at absolute time `deadline` (>= now()).  O(log n).
   TimerId arm(Time deadline, Callback cb);
 
-  /// Cancels a pending timer.  O(1).  Stale ids (fired, cancelled, never
+  /// Cancels a pending timer.  O(log n).  Stale ids (fired, cancelled, never
   /// issued) return false.
   bool cancel(TimerId id);
 
-  /// The wheel's clock: the latest time passed to advance() or the deadline
+  /// The store's clock: the latest time passed to advance() or the deadline
   /// of the last timer fired, whichever is later.
   Time now() const { return now_; }
 
   /// Exact deadline of the earliest pending timer, kNoTimer when empty.
-  Time next_deadline() const;
+  Time next_deadline() const {
+    return heap_.empty() ? kNoTimer : nodes_[heap_.front()].deadline;
+  }
 
   /// Fires every timer with deadline <= `to`, in (deadline, arm order), then
   /// advances the clock to `to`.  Callbacks may arm and cancel reentrantly.
   void advance(Time to);
 
-  bool empty() const { return live_ == 0; }
-  std::size_t size() const { return live_; }
+  bool empty() const { return heap_.empty(); }
+  std::size_t size() const { return heap_.size(); }
 
  private:
-  static constexpr std::uint32_t kNil = 0xffffffff;
-  static constexpr int kOverflowLevel = kLevels;  // marker, not a slot array
+  /// Node::pos of a node that is not pending.
+  static constexpr std::uint32_t kFree = 0xffffffff;
 
   struct Node {
     Time deadline = 0;
-    std::uint64_t seq = 0;  ///< Arm order; breaks deadline ties FIFO.
-    std::uint32_t prev = kNil;
-    std::uint32_t next = kNil;
+    std::uint64_t seq = 0;      ///< Arm order; breaks deadline ties FIFO.
+    std::uint32_t pos = kFree;  ///< Index into heap_; kFree when not pending.
     std::uint32_t gen = 0;
-    std::int8_t level = -1;  ///< -1 = free slot.
-    std::uint8_t slot = 0;
   };
 
   static constexpr TimerId make_id(std::uint32_t gen, std::uint32_t idx) {
@@ -105,43 +94,30 @@ class TimingWheel {
     return static_cast<std::uint32_t>(id >> 32);
   }
 
-  /// Files a node into its (level, slot) list based on deadline - now_.
-  void place(std::uint32_t idx);
-  /// Removes a node from whichever list holds it.
-  void unlink(std::uint32_t idx);
-
-  /// Index of the earliest pending node by (deadline, seq); kNil when empty.
-  std::uint32_t scan_best() const;
-  /// Walks one list, folding its minimum into the running best.
-  void consider(std::uint32_t head, std::uint32_t& best_idx, Time& best_at,
-                std::uint64_t& best_seq) const;
-  /// First occupied slot at level `level` in cursor-relative distance order
-  /// 1..kSlots-1 (the cursor slot itself is checked separately); -1 if none.
-  int first_occupied_after(int level, std::size_t cursor) const;
+  /// Whether node `a` fires before node `b`: by deadline, then arm order.
+  bool before(std::uint32_t a, std::uint32_t b) const {
+    const Node& x = nodes_[a];
+    const Node& y = nodes_[b];
+    return x.deadline != y.deadline ? x.deadline < y.deadline : x.seq < y.seq;
+  }
+  /// Puts node `idx` at heap position `pos`.
+  void place(std::size_t pos, std::uint32_t idx) {
+    heap_[pos] = idx;
+    nodes_[idx].pos = static_cast<std::uint32_t>(pos);
+  }
+  /// Moves heap_[pos] toward the root / the leaves until the order holds.
+  void sift_up(std::size_t pos);
+  void sift_down(std::size_t pos);
+  /// Takes a pending node off the heap and returns it to the free list under
+  /// a new generation, which invalidates its TimerId.
+  void release(std::uint32_t idx);
 
   std::vector<Node> nodes_;
   std::vector<Callback> cbs_;          // parallel to nodes_
   std::vector<std::uint32_t> free_;
-  std::array<std::array<std::uint32_t, kSlots>, kLevels> heads_;
-  std::array<std::array<std::uint32_t, kSlots>, kLevels> tails_;
-  // One bit per slot: which lists are non-empty (4 x 64-bit words per level).
-  std::array<std::array<std::uint64_t, kSlots / 64>, kLevels> occupancy_{};
-  std::uint32_t overflow_head_ = kNil;
-  std::uint32_t overflow_tail_ = kNil;
+  std::vector<std::uint32_t> heap_;    // node indices, a binary min-heap
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
-  std::size_t live_ = 0;
-  // Scan accelerators.  level_live_ lets scan_best skip empty levels (a
-  // host's wheel usually occupies two: pacing near level 0, the RTO around
-  // level 2).  cached_best_ memoizes the scan result; it depends only on the
-  // wheel's *contents* — the clock position changes where the scan looks,
-  // never what the true minimum is — so it stays valid across advance() and
-  // is invalidated only when its node unlinks or an earlier arm supersedes
-  // it.  In the steady pacing cycle (arm, fire, peek) this turns three full
-  // scans into one.
-  std::array<std::uint32_t, kLevels> level_live_{};
-  std::uint32_t overflow_live_ = 0;
-  mutable std::uint32_t cached_best_ = kNil;
 };
 
 /// Adapter binding one TimingWheel to the Simulator: however many timers the
